@@ -6,15 +6,13 @@
 //! keep-alive connection waits in the socket queue or takes a `503`.
 //! The reactor front end (see `docs/PERFORMANCE.md`, "Reactor &
 //! backpressure") multiplexes all client connections over readiness
-//! events on one thread, so an *idle* connection costs a file
-//! descriptor and a parse buffer, not a thread. This binary measures
-//! that difference directly: the same population of slow keep-alive
-//! clients (one small GET per think-time interval, connection held open
-//! throughout) is pointed at one real [`DcwsServer`] per arm —
-//! `FrontEnd::Reactor` versus `FrontEnd::Threaded` — and the key
-//! number is **max concurrently open *and served* connections**: a
-//! connection counts once it is open and has received at least one
-//! `200`.
+//! events, so an *idle* connection costs a file descriptor and a parse
+//! buffer, not a thread. This binary measures how far that goes: a
+//! population of slow keep-alive clients (one small GET per think-time
+//! interval, connection held open throughout) is pointed at one real
+//! [`DcwsServer`], and the key number is **max concurrently open *and
+//! served* connections**: a connection counts once it is open and has
+//! received at least one `200`.
 //!
 //! The client side is the same [`Poller`] the reactor
 //! uses (one thread, nonblocking sockets, incremental `MsgBuf`
@@ -28,19 +26,19 @@
 //! one fd per connection and the child holds the other.
 //!
 //! Outputs: `bench_results/c10kpress.csv`,
-//! `bench_results/BENCH_c10kpress.json`, and a per-arm table on stdout.
-//! Full mode targets 10 500 clients and records `pass_10k` (reactor arm
+//! `bench_results/BENCH_c10kpress.json`, and a result row on stdout.
+//! Full mode targets 10 500 clients and records `pass_10k` (the reactor
 //! holds ≥ 10 000 served concurrent connections). `--quick` /
 //! `DCWS_BENCH_QUICK=1` runs 1 000 clients and **exits nonzero** unless
-//! the reactor arm's served-concurrency exceeds the worker count with
-//! zero accept errors — the CI smoke gate for the event loop itself.
+//! the served concurrency exceeds the worker count with zero accept
+//! errors — the CI smoke gate for the event loop itself.
 
 use dcws_bench::{fmt_thousands, write_csv};
 use dcws_core::{MemStore, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
 use dcws_http::Method;
 use dcws_net::metrics::LatencyHistogram;
-use dcws_net::{raise_nofile_limit, DcwsServer, FrontEnd, MsgBuf, NetConfig, Poller};
+use dcws_net::{raise_nofile_limit, DcwsServer, MsgBuf, NetConfig, Poller};
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -80,7 +78,7 @@ fn params() -> Params {
 /// stdio, the binary, the results files...).
 const FD_SLACK: usize = 512;
 
-fn spawn_server(front_end: FrontEnd) -> DcwsServer {
+fn spawn_server() -> DcwsServer {
     let id = ServerId::new("placeholder:0");
     let mut engine = ServerEngine::new(
         id,
@@ -89,7 +87,6 @@ fn spawn_server(front_end: FrontEnd) -> DcwsServer {
     );
     engine.publish("/doc.html", b"<p>c10k</p>".to_vec(), DocKind::Html, true);
     let mut net = NetConfig::new(Duration::from_millis(500));
-    net.front_end = front_end;
     // Single-loop premise: the batch-size histogram and fairness gates
     // reason about one event loop holding every connection; sharding
     // (benched separately by `corepress`) would dilute both.
@@ -177,7 +174,6 @@ impl DriveResult {
 /// What one arm measured: the client-side drive plus the server's own
 /// counters.
 struct ArmResult {
-    front_end: &'static str,
     conns_target: usize,
     d: DriveResult,
     srv_peak_conns: u64,
@@ -276,7 +272,7 @@ fn drive(addr: SocketAddr, p: &Params, name: &str) -> DriveResult {
                 loop {
                     match c.mb.fill_from(stream) {
                         Ok(0) => {
-                            // Server closed us (threaded overflow drop).
+                            // Server closed us (idle sweep or shutdown).
                             let s = c.stream.take().unwrap();
                             let _ = poller.deregister(s.as_raw_fd());
                             closed_by_server += 1;
@@ -419,13 +415,10 @@ fn drive_main(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-fn run_arm(p: &Params, front_end: FrontEnd, split: bool) -> ArmResult {
-    let server = spawn_server(front_end);
+fn run_arm(p: &Params, split: bool) -> ArmResult {
+    let server = spawn_server();
     let addr = server.addr();
-    let name = match front_end {
-        FrontEnd::Reactor => "reactor",
-        FrontEnd::Threaded => "threaded",
-    };
+    let name = "reactor";
 
     // Prime the serve table so steady-state GETs are read-path hits.
     {
@@ -445,7 +438,6 @@ fn run_arm(p: &Params, front_end: FrontEnd, split: bool) -> ArmResult {
 
     let rs = server.reactor_stats();
     let result = ArmResult {
-        front_end: name,
         conns_target: p.conns,
         d,
         srv_peak_conns: rs.peak.load(Ordering::Relaxed),
@@ -461,7 +453,6 @@ fn run_arm(p: &Params, front_end: FrontEnd, split: bool) -> ArmResult {
 fn arm_json(a: &ArmResult) -> dcws_core::Json {
     use dcws_core::Json;
     Json::obj(vec![
-        ("front_end", Json::from(a.front_end)),
         ("conns_target", Json::from(a.conns_target as u64)),
         ("conns_opened", Json::from(a.d.conns_opened as u64)),
         ("connect_errors", Json::from(a.d.connect_errors)),
@@ -525,30 +516,23 @@ fn main() {
         "arm", "opened", "max_served", "cps", "ok", "503s", "p50", "p99"
     );
 
-    let mut results = Vec::new();
-    for fe in [FrontEnd::Reactor, FrontEnd::Threaded] {
-        let r = run_arm(&p, fe, split);
-        println!(
-            "{:>9} {:>9} {:>11} {:>9} {:>9} {:>9} {:>10} {:>10}",
-            r.front_end,
-            fmt_thousands(r.d.conns_opened as f64),
-            fmt_thousands(r.d.max_concurrent_served as f64),
-            fmt_thousands(r.d.cps),
-            fmt_thousands(r.d.ok as f64),
-            r.d.rejected_503 + r.srv_dropped,
-            format!("{:?}", r.d.p50),
-            format!("{:?}", r.d.p99),
-        );
-        results.push(r);
-    }
+    let reactor = run_arm(&p, split);
+    println!(
+        "{:>9} {:>9} {:>11} {:>9} {:>9} {:>9} {:>10} {:>10}",
+        "reactor",
+        fmt_thousands(reactor.d.conns_opened as f64),
+        fmt_thousands(reactor.d.max_concurrent_served as f64),
+        fmt_thousands(reactor.d.cps),
+        fmt_thousands(reactor.d.ok as f64),
+        reactor.d.rejected_503 + reactor.srv_dropped,
+        format!("{:?}", reactor.d.p50),
+        format!("{:?}", reactor.d.p99),
+    );
 
-    let reactor = &results[0];
-    let threaded = &results[1];
     let pass_10k = reactor.d.max_concurrent_served >= 10_000;
     println!(
-        "\nreactor held {} served conns concurrently (threaded: {}; worker pool: {n_workers}){}",
+        "\nreactor held {} served conns concurrently (worker pool: {n_workers}){}",
         fmt_thousands(reactor.d.max_concurrent_served as f64),
-        fmt_thousands(threaded.d.max_concurrent_served as f64),
         if quick_mode() {
             String::new()
         } else {
@@ -556,46 +540,44 @@ fn main() {
         }
     );
 
-    let mut csv = vec![vec![
-        "arm".into(),
-        "conns_target".into(),
-        "conns_opened".into(),
-        "connect_errors".into(),
-        "max_concurrent_served".into(),
-        "open_at_end".into(),
-        "ok".into(),
-        "rejected_503".into(),
-        "closed_by_server".into(),
-        "cps".into(),
-        "p50_us".into(),
-        "p99_us".into(),
-        "srv_peak_conns".into(),
-        "srv_accept_errors".into(),
-        "srv_inline_served".into(),
-        "srv_spillover_jobs".into(),
-        "srv_dropped_503".into(),
-    ]];
-    for r in &results {
-        csv.push(vec![
-            r.front_end.into(),
-            r.conns_target.to_string(),
-            r.d.conns_opened.to_string(),
-            r.d.connect_errors.to_string(),
-            r.d.max_concurrent_served.to_string(),
-            r.d.open_at_end.to_string(),
-            r.d.ok.to_string(),
-            r.d.rejected_503.to_string(),
-            r.d.closed_by_server.to_string(),
-            format!("{:.1}", r.d.cps),
-            r.d.p50.as_micros().to_string(),
-            r.d.p99.as_micros().to_string(),
-            r.srv_peak_conns.to_string(),
-            r.srv_accept_errors.to_string(),
-            r.srv_inline_served.to_string(),
-            r.srv_spillover_jobs.to_string(),
-            r.srv_dropped.to_string(),
-        ]);
-    }
+    let csv = vec![
+        vec![
+            "conns_target".into(),
+            "conns_opened".into(),
+            "connect_errors".into(),
+            "max_concurrent_served".into(),
+            "open_at_end".into(),
+            "ok".into(),
+            "rejected_503".into(),
+            "closed_by_server".into(),
+            "cps".into(),
+            "p50_us".into(),
+            "p99_us".into(),
+            "srv_peak_conns".into(),
+            "srv_accept_errors".into(),
+            "srv_inline_served".into(),
+            "srv_spillover_jobs".into(),
+            "srv_dropped_503".into(),
+        ],
+        vec![
+            reactor.conns_target.to_string(),
+            reactor.d.conns_opened.to_string(),
+            reactor.d.connect_errors.to_string(),
+            reactor.d.max_concurrent_served.to_string(),
+            reactor.d.open_at_end.to_string(),
+            reactor.d.ok.to_string(),
+            reactor.d.rejected_503.to_string(),
+            reactor.d.closed_by_server.to_string(),
+            format!("{:.1}", reactor.d.cps),
+            reactor.d.p50.as_micros().to_string(),
+            reactor.d.p99.as_micros().to_string(),
+            reactor.srv_peak_conns.to_string(),
+            reactor.srv_accept_errors.to_string(),
+            reactor.srv_inline_served.to_string(),
+            reactor.srv_spillover_jobs.to_string(),
+            reactor.srv_dropped.to_string(),
+        ],
+    ];
     write_csv("c10kpress", &csv);
 
     use dcws_core::Json;
@@ -621,8 +603,7 @@ fn main() {
                 ("nofile_limit", Json::from(limit)),
             ]),
         ),
-        ("reactor", arm_json(reactor)),
-        ("threaded", arm_json(threaded)),
+        ("reactor", arm_json(&reactor)),
         ("pass_10k", Json::from(pass_10k)),
     ]);
     let path = dcws_bench::results_dir().join("BENCH_c10kpress.json");

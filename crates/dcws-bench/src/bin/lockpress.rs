@@ -16,12 +16,14 @@
 //! (the paper's CPS model) for `~migrate` URLs:
 //!
 //! * a fixed **hot set**, warm in the co-op cache after the first touch —
-//!   these are read-path hits, zero-copy, no engine lock;
+//!   these are read-path hits the reactor answers inline, zero-copy, no
+//!   engine lock;
 //! * one in `cold_every` requests targets a **fresh cold path**, forcing
-//!   a lazy pull that parks the serving worker for the stub's latency.
+//!   a lazy pull that spills to the worker pool and parks its worker for
+//!   the stub's latency.
 //!
-//! With one worker a single cold pull stalls the whole server; with
-//! eight, hits keep flowing while pulls sleep. The achievable overlap is
+//! With one worker cold pulls queue behind each other; with eight they
+//! overlap, while hits keep flowing on the event loop either way. The achievable overlap is
 //! bounded by the lock design, not the host's core count, which is what
 //! makes this a contention benchmark rather than a CPU benchmark — the
 //! paper's §5.1 rationale for a multithreaded server.
@@ -205,14 +207,12 @@ fn run_point(p: &Params, n_workers: usize) -> PointResult {
         cfg,
         Box::new(MemStore::new()),
     );
-    // Pinned to the threaded front end: this bench isolates worker-pool
-    // I/O overlap, and its premise — every request occupies a worker —
-    // only holds there. Under the reactor, hot GETs are served inline on
-    // the event loop and the worker sweep would measure nothing
-    // (concurrency under the reactor is c10kpress's job).
-    let mut net = dcws_net::NetConfig::new(Duration::from_millis(100));
-    net.front_end = dcws_net::FrontEnd::Threaded;
-    let server = DcwsServer::spawn_with(engine, "127.0.0.1:0", net).expect("spawn server");
+    // The default reactor: hot GETs are answered inline on the event
+    // loop, while each cold miss spills to the worker pool this sweep
+    // varies and parks its worker for the stub's latency. The curve thus
+    // measures how many concurrent cold pulls the pool overlaps.
+    let server =
+        DcwsServer::spawn(engine, "127.0.0.1:0", Duration::from_millis(100)).expect("spawn server");
     let server_id = server.server_id();
 
     let hot_paths: Vec<String> = (0..p.hot_docs)

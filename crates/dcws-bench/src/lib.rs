@@ -15,7 +15,7 @@
 //! | `cachepress` | cache budget vs hit ratio / response time sweep |
 //! | `lockpress` | throughput vs worker threads (engine-lock contention) |
 //! | `connpress` | pooled keep-alive vs connect-per-request transport sweep |
-//! | `c10kpress` | concurrent keep-alive clients held: reactor vs threaded front end |
+//! | `c10kpress` | concurrent keep-alive clients held by the reactor front end |
 //! | `scalepress` | simulator scale-out proof: 1,000+ servers, 10⁶+ sessions, determinism at scale |
 //! | `scenarios` | seeded scenario suite (flash crowd, diurnal, restarts, co-op failures) + invariant audits |
 //!

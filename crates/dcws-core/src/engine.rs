@@ -356,6 +356,20 @@ impl ServerEngine {
                 e.location = loc;
             }
         }
+        // The fresh original still links to home paths. If any link target
+        // has already migrated, the document starts dirty so its first
+        // serve regenerates the `~migrate` URLs instead of costing every
+        // click on them an extra 301 hop.
+        let links_moved = self.ldg.get(name).is_some_and(|e| {
+            e.link_to
+                .iter()
+                .any(|t| self.ldg.get(t).is_some_and(|te| !te.location.is_home()))
+        });
+        if links_moved {
+            if let Some(e) = self.ldg.get_mut(name) {
+                e.dirty = true;
+            }
+        }
     }
 
     /// Resolve a document's outgoing references to site-local paths.

@@ -1,6 +1,6 @@
 //! Request handling — the data plane of §4.2–§4.4.
 
-use crate::engine::{coop_cache_key, ServerEngine, PENDING_SERVE_CAP};
+use crate::engine::{coop_cache_key, CoopKey, ServerEngine, PENDING_SERVE_CAP};
 use crate::events::EngineEvent;
 use crate::naming::decode_migrate_path;
 use dcws_cache::CachedDoc;
@@ -67,6 +67,28 @@ fn is_inter_server(req: &Request) -> bool {
     req.headers
         .iter()
         .any(|(n, _)| n.len() >= 7 && n[..7].eq_ignore_ascii_case("x-dcws-"))
+}
+
+/// The co-op copy a successful pull response carries: its body plus the
+/// home's version, content type and modification time.
+fn pulled_doc(resp: &Response, now_ms: u64) -> CachedDoc {
+    let version = resp
+        .headers
+        .get("X-DCWS-Version")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0);
+    let content_type = resp
+        .headers
+        .get("Content-Type")
+        .unwrap_or("application/octet-stream")
+        .to_string();
+    let mut doc = CachedDoc::new(resp.body.clone(), content_type, version, now_ms);
+    doc.modified_ms = resp
+        .headers
+        .get("Last-Modified")
+        .and_then(parse_http_date)
+        .unwrap_or(now_ms);
+    doc
 }
 
 impl ServerEngine {
@@ -522,21 +544,6 @@ impl ServerEngine {
         if resp.status != StatusCode::Ok {
             return false;
         }
-        let version = resp
-            .headers
-            .get("X-DCWS-Version")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let content_type = resp
-            .headers
-            .get("Content-Type")
-            .unwrap_or("application/octet-stream")
-            .to_string();
-        let modified = resp
-            .headers
-            .get("Last-Modified")
-            .and_then(parse_http_date)
-            .unwrap_or(now_ms);
         let key = (home.clone(), path.to_string());
         self.coop_moved.remove(&key);
         let bytes = resp.body.len() as u64;
@@ -546,8 +553,7 @@ impl ServerEngine {
             home: home.clone(),
             bytes,
         });
-        let mut doc = CachedDoc::new(resp.body.clone(), content_type, version, now_ms);
-        doc.modified_ms = modified;
+        let doc = pulled_doc(resp, now_ms);
         let result = self
             .coop_cache
             .insert(&coop_cache_key(home, path), doc.clone());
@@ -555,12 +561,29 @@ impl ServerEngine {
         if !result.stored {
             // Too large for our budget slice: stage the body so the
             // retry that follows this pull can serve it exactly once.
-            if self.pending_serve.len() >= PENDING_SERVE_CAP {
-                self.pending_serve.remove(0);
-            }
-            self.pending_serve.push((key, doc));
+            self.stage_serve(key, doc);
         }
         true
+    }
+
+    /// Stage an already-stored pull response for exactly one more serve,
+    /// without counting another pull. A pull coalesces every concurrent
+    /// miss for the document, but an oversize body is staged for one
+    /// serve only; the host calls this for each further waiter whose
+    /// retry finds the copy gone, under the same engine lock as that
+    /// retry, so no other request can consume it first.
+    pub fn stage_pulled(&mut self, home: &ServerId, path: &str, resp: &Response, now_ms: u64) {
+        if resp.status == StatusCode::Ok {
+            let key = (home.clone(), path.to_string());
+            self.stage_serve(key, pulled_doc(resp, now_ms));
+        }
+    }
+
+    fn stage_serve(&mut self, key: CoopKey, doc: CachedDoc) {
+        if self.pending_serve.len() >= PENDING_SERVE_CAP {
+            self.pending_serve.remove(0);
+        }
+        self.pending_serve.push((key, doc));
     }
 
     /// Digest a *rejected* pull: the home answered with a redirect because

@@ -772,6 +772,24 @@ fn oversize_pulled_doc_still_served_via_staging() {
         coop.handle_request(&Request::get(migrate_path), now + 2),
         Outcome::FetchNeeded { .. }
     ));
+    // A second waiter of the same pull re-stages the body it already
+    // holds: served once more, with no second pull recorded.
+    assert_eq!(coop.pull_size_histogram().count(), 1);
+    coop.stage_pulled(&h, &path, &resp, now + 3);
+    let r = coop
+        .handle_request(&Request::get(migrate_path), now + 3)
+        .into_response()
+        .expect("re-staged body must serve");
+    assert_eq!(r.body, resp.body);
+    assert_eq!(
+        coop.pull_size_histogram().count(),
+        1,
+        "no second pull counted"
+    );
+    assert!(matches!(
+        coop.handle_request(&Request::get(migrate_path), now + 4),
+        Outcome::FetchNeeded { .. }
+    ));
 }
 
 /// Pull a copy of /d.html into `coop`, returning the pull response.

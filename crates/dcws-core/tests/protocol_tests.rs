@@ -551,3 +551,36 @@ fn warm_restart_restores_migrations() {
         0
     );
 }
+
+/// An author update to a document whose link target has migrated must
+/// keep the rewritten `~migrate` link: the fresh original still points
+/// at the home path, so the republished document has to start dirty or
+/// every click on that link costs an extra 301 hop.
+#[test]
+fn republished_doc_keeps_rewritten_links_to_migrated_targets() {
+    let mut home = make_home();
+    migrate_d(&mut home, 10_000);
+    let get_index = |home: &mut ServerEngine, now: u64| {
+        let r = home
+            .handle_request(&Request::get("/index.html"), now)
+            .into_response()
+            .expect("served");
+        assert_eq!(r.status, StatusCode::Ok);
+        String::from_utf8_lossy(&r.body).into_owned()
+    };
+    let before = get_index(&mut home, 10_001);
+    assert!(before.contains("~migrate"), "before republish: {before}");
+
+    home.publish(
+        "/index.html",
+        br#"<a href="/d.html">D</a> v2"#.to_vec(),
+        DocKind::Html,
+        true,
+    );
+    let after = get_index(&mut home, 10_002);
+    assert!(after.contains("v2"), "author update not served: {after}");
+    assert!(
+        after.contains("~migrate"),
+        "republish lost the rewritten link: {after}"
+    );
+}

@@ -1,6 +1,6 @@
 //! Blocking socket helpers: read one message, write one message.
 //!
-//! Keep-alive connections (the server's request loop, the pooled
+//! Keep-alive connections (the reactor's client connections, the pooled
 //! inter-server client streams, redirect-chasing `fetch`) read through a
 //! per-connection [`MsgBuf`] instead of a fresh allocation per message:
 //!
@@ -23,7 +23,7 @@
 use dcws_http::parser::MAX_HEAD_BYTES;
 use dcws_http::{
     parse_request, parse_response, parse_response_head, request_wire_len, response_wire_len,
-    Method, Request, Response, ResponseHead, StreamBody, STREAM_CHUNK,
+    Method, Request, Response, ResponseHead, STREAM_CHUNK,
 };
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -115,19 +115,14 @@ impl MsgBuf {
         self.total = None;
     }
 
-    /// Read more bytes from `stream`; `Ok(0)` means EOF.
-    fn fill(&mut self, stream: &mut TcpStream) -> io::Result<usize> {
-        let mut chunk = [0u8; CHUNK];
-        let n = stream.read(&mut chunk)?;
-        self.buf.extend_from_slice(&chunk[..n]);
-        Ok(n)
-    }
-
     /// One read from `stream` into the buffer; `Ok(0)` means EOF. On a
     /// nonblocking socket `Err(WouldBlock)` means "no more bytes now" —
     /// this is how the [`reactor`](crate::reactor) feeds connections.
     pub fn fill_from(&mut self, stream: &mut TcpStream) -> io::Result<usize> {
-        self.fill(stream)
+        let mut chunk = [0u8; CHUNK];
+        let n = stream.read(&mut chunk)?;
+        self.buf.extend_from_slice(&chunk[..n]);
+        Ok(n)
     }
 
     /// Extract the next complete request already buffered, without
@@ -186,7 +181,7 @@ pub fn read_request_buf(stream: &mut TcpStream, mb: &mut MsgBuf) -> io::Result<O
             mb.consume(parsed.consumed);
             return Ok(Some(parsed.message));
         }
-        if mb.fill(stream)? == 0 {
+        if mb.fill_from(stream)? == 0 {
             return if mb.buf.is_empty() {
                 Ok(None)
             } else {
@@ -216,7 +211,7 @@ pub fn read_response_buf(
             mb.consume(parsed.consumed);
             return Ok(parsed.message);
         }
-        if mb.fill(stream)? == 0 {
+        if mb.fill_from(stream)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed mid-response",
@@ -242,7 +237,7 @@ pub fn read_response_head_buf(
             mb.consume(parsed.consumed);
             return Ok(parsed.message);
         }
-        if mb.fill(stream)? == 0 {
+        if mb.fill_from(stream)? == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "connection closed before response head",
@@ -322,34 +317,6 @@ pub fn write_response(
 ) -> io::Result<()> {
     let wire = resp.to_bytes_for(request_method == Method::Head);
     stream.write_all(&wire)?;
-    stream.flush()
-}
-
-/// Write a streamed response: the prebuilt head, then the entity drained
-/// from `body` in [`STREAM_CHUNK`]-sized pieces — the first chunk is on
-/// the wire before the rest of the entity has been read from its store.
-/// `HEAD` requests get the head only (the entity is never read).
-///
-/// A source that runs dry early is an error: the `Content-Length`
-/// framing is already committed, so the caller must close the
-/// connection rather than leave the peer waiting for missing bytes.
-pub fn write_streamed_response(
-    stream: &mut TcpStream,
-    resp: &Response,
-    request_method: Method,
-    body: &mut StreamBody,
-) -> io::Result<()> {
-    stream.write_all(&resp.head_bytes())?;
-    if request_method != Method::Head && !resp.status.bodyless() {
-        let mut buf = vec![0u8; STREAM_CHUNK];
-        loop {
-            let n = body.read_chunk(&mut buf)?;
-            if n == 0 {
-                break;
-            }
-            stream.write_all(&buf[..n])?;
-        }
-    }
     stream.flush()
 }
 

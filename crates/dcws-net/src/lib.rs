@@ -5,31 +5,29 @@
 //! A [`DcwsServer`] runs these thread roles (see
 //! `docs/ARCHITECTURE.md` for the full request lifecycle):
 //!
-//! * **reactor shards** (default front end, [`reactor`];
-//!   `NetConfig::reactor_shards`, default `min(cores, 8)`): each shard
-//!   is one thread running a nonblocking accept loop plus an
-//!   `epoll`/`poll` readiness event loop over its own connection slab —
-//!   tens of thousands of idle keep-alive clients cost an fd and a few
-//!   hundred bytes each, not a thread. On Linux every shard binds its
-//!   own `SO_REUSEPORT` listener and the kernel spreads accepts;
-//!   elsewhere shard 0 owns the lone listener and hands accepted
-//!   sockets to its peers round-robin over their waker pipes.
-//!   Responses leave through zero-copy vectored writes: the response
-//!   head and the shared entity [`Body`](dcws_http::Body) Arc go out in
-//!   one `writev(2)` with no per-serve copy of the document bytes.
-//!   Common-case GETs are answered inline on the engine's concurrent
+//! * **reactor shards** ([`reactor`]; `NetConfig::reactor_shards`,
+//!   default `min(cores, 8)`): each shard is one thread running a
+//!   nonblocking accept loop plus an `epoll`/`poll` readiness event
+//!   loop over its own connection slab — tens of thousands of idle
+//!   keep-alive clients cost an fd and a few hundred bytes each, not a
+//!   thread. On Linux every shard binds its own `SO_REUSEPORT`
+//!   listener and the kernel spreads accepts; elsewhere shard 0 owns
+//!   the lone listener and hands accepted sockets to its peers
+//!   round-robin over their waker pipes. Responses leave through
+//!   zero-copy vectored writes: the response head and the shared entity
+//!   [`Body`](dcws_http::Body) Arc go out in one `writev(2)` with no
+//!   per-serve copy of the document bytes. Common-case GETs are
+//!   answered inline on the engine's concurrent
 //!   [`ReadPath`](dcws_core::ReadPath); engine-locked work spills to
 //!   the worker pool over one shared bounded queue, with accept-pause
-//!   and `503 Retry-After` backpressure. The paper's literal
-//!   **front-end thread** (N_fe = 1: blocking accept + enqueue whole
-//!   connections, worker-count concurrency) is kept behind
-//!   [`FrontEnd::Threaded`] for A/B measurement (`c10kpress`);
-//! * **worker threads** (N_wk = 12 by default): under the reactor,
-//!   compute responses for spilled requests (misses, mutations,
-//!   inter-server verbs, `/dcws/*`) and post them back over the
-//!   originating shard's completion bridge — they never touch client
-//!   sockets; under the threaded front end, own one connection
-//!   end-to-end;
+//!   and `503 Retry-After` backpressure. This replaces the paper's
+//!   literal front-end thread (N_fe = 1, blocking accept, one
+//!   connection per worker), whose concurrency was capped at the worker
+//!   count;
+//! * **worker threads** (N_wk = 12 by default): compute responses for
+//!   spilled requests (misses, mutations, inter-server verbs,
+//!   `/dcws/*`) and post them back over the originating shard's
+//!   completion bridge — they never touch client sockets;
 //! * **pinger/statistics thread** (N_pi = 1): drives
 //!   [`ServerEngine::tick`](dcws_core::ServerEngine::tick) — statistics
 //!   recalculation, migration decisions, artificial ping transfers,
@@ -57,7 +55,8 @@
 //! connection reuse through a bounded per-peer [`ConnPool`] (pings
 //! exempt, so §4.5 dead-peer detection stays honest), per-attempt
 //! timeouts, capped exponential backoff with seeded jitter
-//! ([`RetryPolicy`]), a body integrity check, and optional
+//! ([`RetryPolicy`]), one chunked exchange whose rolling checksum
+//! rejects a corrupt body before it becomes a response, and optional
 //! deterministic fault injection ([`FaultPlan`] / [`FaultInjector`]) so
 //! chaos runs are reproducible from a seed (see `docs/RESILIENCE.md`
 //! and the "Connection reuse" section of `docs/PERFORMANCE.md`).
@@ -88,5 +87,5 @@ pub use pool::{ConnPool, PoolConfig, PoolEvent, PoolSnapshot, PooledConn};
 pub use queue::{Queued, SocketQueue};
 pub use reactor::{raise_nofile_limit, Event, Poller, ReactorStats};
 pub use retry::RetryPolicy;
-pub use server::{DcwsServer, FrontEnd, NetConfig};
+pub use server::{DcwsServer, NetConfig};
 pub use transport::{IoSnapshot, OpClass, Transport};

@@ -20,7 +20,8 @@
 //!   [`DcwsServer`](crate::DcwsServer))* — one thread that accepts
 //!   nonblockingly, resumes each ready connection's incremental
 //!   [`MsgBuf`](crate::MsgBuf) parse mid-head, answers common-case GETs
-//!   inline via `ReadPath::try_serve` with nonblocking buffered writes,
+//!   inline via `ReadPath::try_serve` with nonblocking zero-copy
+//!   `writev(2)` writes,
 //!   and hands engine-locked work (misses, mutations, `/dcws/*`,
 //!   inter-server verbs) to the worker pool, demoted to a bounded
 //!   **spillover**: workers compute the response and post it back
@@ -46,14 +47,14 @@
 //! callback that leaked a guard into the loop panics in debug builds
 //! rather than stalling ten thousand connections behind a mutex.
 //!
-//! Shutdown drains at request boundaries like the threaded model:
-//! connections idle at a boundary close immediately, in-flight spillover
+//! Shutdown drains at request boundaries: connections idle at a
+//! boundary close immediately, in-flight spillover
 //! responses are written with `Connection: close`, and the loop exits
 //! once drained (or after a bounded deadline).
 
 use crate::conn::READ_TIMEOUT;
 use crate::lock::assert_engine_unlocked;
-use crate::server::{Shared, SpillJob, WorkItem};
+use crate::server::{Shared, SpillJob, RETRY_AFTER_SECS};
 use dcws_core::Json;
 use dcws_http::{Method, Response, StreamBody, STREAM_CHUNK};
 use std::io::{self, Read, Write};
@@ -616,9 +617,8 @@ impl Poller {
 // Reactor statistics (the `reactor` section of /dcws/status).
 // ---------------------------------------------------------------------
 
-/// Lock-free counters the reactor maintains; zero-valued (with
-/// `enabled: false`) when the server runs the threaded front end, so the
-/// status document's shape is stable across modes.
+/// Lock-free counters the reactor maintains (the `reactor` section of
+/// `/dcws/status`).
 #[derive(Debug, Default)]
 pub struct ReactorStats {
     /// Currently registered client connections (gauge).
@@ -658,10 +658,9 @@ pub struct ReactorStats {
     /// Response bodies queued as a shared `Arc` segment — no memcpy; the
     /// refcount holds the bytes until the kernel has taken them all.
     pub bodies_zero_copy: AtomicU64,
-    /// Response bodies memcpy'd into the out-buffer (the legacy
-    /// copy-on-serve path, kept selectable for A/B measurement via
-    /// `NetConfig::reactor_copy_writes`). The corepress gate asserts this
-    /// stays zero on the vectored arm.
+    /// Response bodies memcpy'd into the out-buffer. No serve path
+    /// copies a buffered body, so this audit counter must read zero;
+    /// `corepress` gates on it and perfbench reports it.
     pub body_copies: AtomicU64,
 }
 
@@ -685,23 +684,15 @@ impl ReactorStats {
         self.batch_max.fetch_max(n as u64, Ordering::Relaxed);
     }
 
-    /// The `reactor` status section. `enabled`/`backend` describe the
-    /// running front end; ratios are derived here so dashboards don't
-    /// have to.
-    pub fn to_json(
-        &self,
-        enabled: bool,
-        backend: &str,
-        queue_depth: usize,
-        queue_cap: usize,
-    ) -> Json {
+    /// The `reactor` status section. `backend` names the poller in use;
+    /// ratios are derived here so dashboards don't have to.
+    pub fn to_json(&self, backend: &str, queue_depth: usize, queue_cap: usize) -> Json {
         let inline = self.inline_served.load(Ordering::Relaxed);
         let spilled = self.spillover_jobs.load(Ordering::Relaxed);
         let total = inline + spilled;
         let batches = self.batches.load(Ordering::Relaxed);
         let events = self.batch_events.load(Ordering::Relaxed);
         Json::obj(vec![
-            ("enabled", Json::from(enabled)),
             ("backend", Json::from(backend)),
             (
                 "registered_conns",
@@ -1007,9 +998,6 @@ const MAX_READ_PER_EVENT: usize = 256 * 1024;
 /// next readiness turn resumes it).
 const MAX_WRITE_PER_EVENT: usize = 256 * 1024;
 
-/// Retry-After hint on spillover-full 503s (matches the front-end drop).
-const RETRY_AFTER_SECS: u32 = 1;
-
 struct ClientConn {
     stream: TcpStream,
     gen: u32,
@@ -1046,9 +1034,6 @@ pub(crate) struct ShardConfig {
     pub max_conns: usize,
     pub keepalive_idle: Duration,
     pub force_poll_backend: bool,
-    /// Serve responses through the legacy memcpy path instead of the
-    /// zero-copy segment queue (A/B arm for `corepress`).
-    pub copy_writes: bool,
 }
 
 pub(crate) struct Reactor {
@@ -1069,7 +1054,6 @@ pub(crate) struct Reactor {
     n_shards: usize,
     /// Round-robin cursor for hand-off distribution.
     rr: usize,
-    copy_writes: bool,
     conns: Vec<Option<ClientConn>>,
     free: Vec<usize>,
     live: usize,
@@ -1119,11 +1103,7 @@ impl Reactor {
             poller.register(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
         }
         poller.register(waker_rx.as_raw_fd(), WAKER_TOKEN, true, false)?;
-        let stats = shared
-            .shard_stats
-            .get(cfg.shard)
-            .cloned()
-            .unwrap_or_default();
+        let stats = shared.shard_stats[cfg.shard].clone();
         Ok(Reactor {
             shared,
             shutdown,
@@ -1136,7 +1116,6 @@ impl Reactor {
             shard: cfg.shard,
             n_shards: cfg.n_shards.max(1),
             rr: 0,
-            copy_writes: cfg.copy_writes,
             conns: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -1245,9 +1224,8 @@ impl Reactor {
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    // Inbound fault injection, same semantics as the
-                    // threaded front end: a delay stalls the accept path
-                    // (modelling a congested link into this host), a
+                    // Inbound fault injection: a delay stalls the accept
+                    // path (modelling a congested link into this host), a
                     // refusal closes the socket before any read.
                     if let Some(inj) = &self.shared.inbound {
                         let d = inj.inbound();
@@ -1476,8 +1454,7 @@ impl Reactor {
                 Ok(None) => return true,
                 Err(_) => {
                     // Unparseable request: answer 400 and close once
-                    // written (framing is unrecoverable) — the same
-                    // behaviour as the threaded workers.
+                    // written (framing is unrecoverable).
                     let resp = Response::new(dcws_http::StatusCode::BadRequest);
                     let conn = self.conns[idx].as_mut().unwrap();
                     conn.out.push_owned(resp.to_bytes_for(false));
@@ -1519,7 +1496,7 @@ impl Reactor {
             keep_alive,
             started,
         };
-        match self.shared.queue.try_push(WorkItem::Spill(job)) {
+        match self.shared.queue.try_push(job) {
             Ok(()) => {
                 self.bump(|s| {
                     s.spillover_jobs.fetch_add(1, Ordering::Relaxed);
@@ -1564,7 +1541,6 @@ impl Reactor {
         }
         let head_only = method == Method::Head;
         let with_body = !head_only && !resp.status.bodyless() && !resp.body.is_empty();
-        let copy_writes = self.copy_writes;
         let streamed = stream.is_some();
         let conn = self.conns[idx].as_mut().unwrap();
         match stream {
@@ -1577,29 +1553,21 @@ impl Reactor {
             // Buffered entity: head as an owned segment, body as a
             // shared one — the serve is an `Arc` refcount bump, and the
             // bytes leave user space exactly once, via `writev`. (HEAD
-            // and bodyless statuses queue the head alone; the legacy
-            // copy arm rebuilds head+body into one owned segment.)
-            _ if copy_writes || !with_body => {
-                conn.out.push_owned(resp.to_bytes_for(head_only));
-            }
+            // and bodyless statuses queue the head alone.)
             _ => {
                 conn.out.push_owned(resp.head_bytes());
-                conn.out.push_shared(resp.body.clone());
+                if with_body {
+                    conn.out.push_shared(resp.body.clone());
+                }
             }
         }
         if !keep_alive || closing {
             conn.close_after_flush = true;
         }
         if with_body && !streamed {
-            if copy_writes {
-                self.bump(|s| {
-                    s.body_copies.fetch_add(1, Ordering::Relaxed);
-                });
-            } else {
-                self.bump(|s| {
-                    s.bodies_zero_copy.fetch_add(1, Ordering::Relaxed);
-                });
-            }
+            self.bump(|s| {
+                s.bodies_zero_copy.fetch_add(1, Ordering::Relaxed);
+            });
         }
         self.shared.metrics.service_time.record(started.elapsed());
         if !self.flush(idx) {
@@ -1875,7 +1843,6 @@ mod tests {
             max_conns: 1024,
             keepalive_idle: Duration::from_secs(60),
             force_poll_backend: false,
-            copy_writes: false,
         }
     }
 
@@ -2092,6 +2059,57 @@ mod tests {
                 "expected read timeout, got {e:?}"
             ),
         }
+    }
+
+    /// A streamed entity whose source runs dry before `Content-Length`
+    /// bytes: the head is already committed, so the reactor must close
+    /// the connection (never park it waiting for bytes that will not
+    /// come), and the client must see EOF short of the framed length.
+    #[test]
+    fn dry_stream_source_closes_connection_short_of_content_length() {
+        const CLAIMED: usize = 4096;
+        const ACTUAL: usize = 100;
+        let (_shared, mut reactor) = test_reactor();
+        let addr = reactor.listener.as_ref().unwrap().local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while reactor.live == 0 && Instant::now() < deadline {
+            reactor.poll_once(Duration::from_millis(10));
+        }
+        assert_eq!(reactor.live, 1, "reactor must have accepted the client");
+        let idx = reactor.conns.iter().position(Option::is_some).unwrap();
+
+        let mut resp = Response::ok(Vec::new(), "application/octet-stream");
+        resp.headers
+            .set("Content-Length", CLAIMED.to_string())
+            .unwrap();
+        let short = std::io::Cursor::new(vec![0x5au8; ACTUAL]);
+        let body = StreamBody::new(Box::new(short), CLAIMED as u64);
+        let alive =
+            reactor.queue_response(idx, resp, Some(body), Method::Get, true, Instant::now());
+        assert!(!alive, "a dry source must close the connection");
+        assert_eq!(reactor.live, 0, "the slot must be released, not parked");
+        assert!(reactor.conns[idx].is_none());
+
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut wire = Vec::new();
+        client.read_to_end(&mut wire).expect("EOF, not a timeout");
+        let head_end = wire
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("head was written before the source ran dry")
+            + 4;
+        let head = String::from_utf8_lossy(&wire[..head_end]);
+        assert!(
+            head.contains(&format!("Content-Length: {CLAIMED}")),
+            "{head}"
+        );
+        assert!(
+            wire.len() - head_end < CLAIMED,
+            "client must see EOF short of Content-Length"
+        );
     }
 
     #[test]

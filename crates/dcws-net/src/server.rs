@@ -1,10 +1,6 @@
-//! The DCWS server: event-driven reactor front end (default) or the
-//! paper's §5.1 threaded front end, a worker pool, a pinger thread, and
-//! the `/dcws/status` introspection endpoint.
+//! The DCWS server: the sharded reactor front end, the spillover worker
+//! pool, a pinger thread, and the `/dcws/status` introspection endpoint.
 
-use crate::conn::{
-    read_request_buf, write_response, write_streamed_response, MsgBuf, READ_TIMEOUT,
-};
 use crate::faults::FaultInjector;
 use crate::lock::EngineLock;
 use crate::metrics::TransportMetrics;
@@ -18,45 +14,29 @@ use crate::transport::{OpClass, Transport};
 use dcws_cache::SingleFlight;
 use dcws_core::{Json, Outcome, ReadPath, ServerEngine};
 use dcws_graph::ServerId;
-use dcws_http::{is_reserved_path, Method, Request, Response, StatusCode, StreamBody, STATUS_PATH};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use dcws_http::{is_reserved_path, Request, Response, StatusCode, StreamBody, STATUS_PATH};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Retry-After hint (seconds) on graceful 503 drops; the benchmark
 /// client's exponential back-off starts at one second (§5.2).
-const RETRY_AFTER_SECS: u32 = 1;
+pub(crate) const RETRY_AFTER_SECS: u32 = 1;
 
 /// Outcome of a (possibly coalesced) lazy pull, cloneable so follower
 /// workers can reuse the leader's result.
 #[derive(Clone)]
 enum PullResult {
-    /// The copy is now in the co-op cache (or staged); retry the request.
-    Stored,
+    /// The copy is now in the co-op cache (or staged for one serve);
+    /// retry the request. Carries the pulled response so every waiter
+    /// can re-stage an oversize body another waiter already consumed.
+    Stored(Response),
     /// The home declined (redirect, 404, …); relay its answer as-is.
     Rejected(Response),
     /// The home is unreachable after the transport's retries; each
     /// waiter degrades to a stale retained copy or a 503.
     Unreachable,
-}
-
-/// Which client-facing front end a [`DcwsServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrontEnd {
-    /// The paper's §5.1 model: one blocking acceptor enqueues whole
-    /// connections; each worker thread owns one connection end-to-end.
-    /// Concurrent connections are capped near the worker count — kept
-    /// for A/B measurement (`c10kpress`) and as the literal
-    /// reproduction of the 1998 prototype.
-    Threaded,
-    /// The event-driven model (default): one reactor thread multiplexes
-    /// every client connection over `epoll`/`poll` readiness, serves
-    /// read-path hits inline, and spills engine-locked work to the
-    /// worker pool. Holds tens of thousands of idle keep-alive clients
-    /// (see `docs/PERFORMANCE.md`, "Reactor & backpressure").
-    Reactor,
 }
 
 /// Host-level transport configuration for [`DcwsServer::spawn_with`].
@@ -71,7 +51,7 @@ pub struct NetConfig {
     pub faults: Option<Arc<FaultInjector>>,
     /// Fault injector consulted per *inbound* accepted connection
     /// (refusals close the socket before any read; delays stall the
-    /// acceptor, modelling a slow network path into this host).
+    /// accepting shard, modelling a slow network path into this host).
     pub inbound_faults: Option<Arc<FaultInjector>>,
     /// Idle keep-alive connections retained per peer by the transport's
     /// [`ConnPool`](crate::ConnPool); `0` disables pooling (every
@@ -80,20 +60,18 @@ pub struct NetConfig {
     /// How long a pooled connection may sit idle before the next
     /// checkout reaps it.
     pub pool_idle_ttl: Duration,
-    /// Which client-facing front end to run (default [`FrontEnd::Reactor`]).
-    pub front_end: FrontEnd,
-    /// Reactor only: registered-connection ceiling. At the ceiling the
+    /// Registered-connection ceiling. At the ceiling the
     /// listener is paused (kernel backlog absorbs the burst) and
     /// re-armed once occupancy drops below 90 % of it.
     pub max_reactor_conns: usize,
-    /// Reactor only: how long a keep-alive connection may park at a
+    /// How long a keep-alive connection may park at a
     /// request boundary before the sweep closes it.
     pub reactor_keepalive_idle: Duration,
-    /// Reactor only: force the portable `poll(2)` backend even where
+    /// Force the portable `poll(2)` backend even where
     /// `epoll` is available — used by tests and the `c10kpress` bench
     /// to exercise the fallback path on Linux.
     pub reactor_force_poll: bool,
-    /// Reactor only: how many reactor shards to run (default
+    /// How many reactor shards to run (default
     /// `min(cores, 8)`). Each shard is one thread with its own poller,
     /// connection slab, and — on Linux — its own `SO_REUSEPORT` listener,
     /// so the kernel spreads clients across cores. Where `SO_REUSEPORT`
@@ -101,17 +79,12 @@ pub struct NetConfig {
     /// accepted connections to its peers. Benches whose premises are
     /// single-loop (batch histograms, fairness caps) pin this to 1.
     pub reactor_shards: usize,
-    /// Reactor only: serve buffered response bodies through the legacy
-    /// memcpy path instead of the zero-copy `writev` segment queue.
-    /// Exists solely as the A/B baseline arm for `corepress`; leave
-    /// `false` in production.
-    pub reactor_copy_writes: bool,
 }
 
 impl NetConfig {
     /// Defaults: the given control interval, the stock inter-server
-    /// retry policy, no fault injection, default pool sizing, and the
-    /// reactor front end.
+    /// retry policy, no fault injection, and default pool and reactor
+    /// sizing.
     pub fn new(control_interval: Duration) -> NetConfig {
         let pool = PoolConfig::default();
         NetConfig {
@@ -121,7 +94,6 @@ impl NetConfig {
             inbound_faults: None,
             pool_max_per_peer: pool.max_per_peer,
             pool_idle_ttl: pool.idle_ttl,
-            front_end: FrontEnd::Reactor,
             max_reactor_conns: 16_384,
             reactor_keepalive_idle: Duration::from_secs(60),
             reactor_force_poll: false,
@@ -129,7 +101,6 @@ impl NetConfig {
                 .map(|n| n.get())
                 .unwrap_or(1)
                 .min(8),
-            reactor_copy_writes: false,
         }
     }
 
@@ -142,21 +113,11 @@ impl NetConfig {
     }
 }
 
-/// One unit of work for the worker pool. The threaded front end
-/// enqueues whole connections; the reactor enqueues already-parsed
-/// requests whose responses travel back over the [`SpillBridge`].
-pub(crate) enum WorkItem {
-    /// A freshly accepted connection (threaded front end): the worker
-    /// owns it, blocking reads and all, until keep-alive ends.
-    Conn(TcpStream),
-    /// A parsed request the reactor could not serve lock-free
-    /// (engine miss, mutation, inter-server verb, `/dcws/*`): the
-    /// worker computes the response and posts a [`Completion`]; it
-    /// never touches the client socket.
-    Spill(SpillJob),
-}
-
-/// A request spilled from the reactor to the worker pool.
+/// A parsed request the reactor could not serve lock-free (engine miss,
+/// mutation, inter-server verb, `/dcws/*`), spilled to the worker pool.
+/// The worker computes the response and posts a [`Completion`] back over
+/// the owning shard's [`SpillBridge`]; it never touches the client
+/// socket.
 pub(crate) struct SpillJob {
     /// The reactor's generation-tagged connection token; a stale token
     /// (connection died while the job ran) makes the completion a no-op.
@@ -174,7 +135,7 @@ pub(crate) struct SpillJob {
     pub started: Instant,
 }
 
-/// Everything the worker, front-end/reactor, and pinger threads share.
+/// Everything the worker, reactor, and pinger threads share.
 /// Crate-visible so `reactor.rs` (and its tests) can drive the serve
 /// paths directly.
 pub(crate) struct Shared {
@@ -189,28 +150,19 @@ pub(crate) struct Shared {
     /// Retrying, fault-aware inter-server I/O (pulls, pushes, pings,
     /// validations all go through here — never a raw socket call).
     transport: Transport,
-    /// Inbound-side fault injector, consulted by the accepting thread.
+    /// Inbound-side fault injector, consulted by the accepting shard.
     pub(crate) inbound: Option<Arc<FaultInjector>>,
     pub(crate) dropped: AtomicU64,
-    /// The bounded work queue (L_sq): whole connections under the
-    /// threaded front end, spillover jobs under the reactor.
-    pub(crate) queue: SocketQueue<WorkItem>,
-    /// One slot per worker holding a clone of the connection it is
-    /// currently serving (threaded front end only). With keep-alive a
-    /// worker can sit in a read for up to [`READ_TIMEOUT`]; `stop()`
-    /// shuts these sockets down so workers unblock immediately.
-    active_conns: Vec<std::sync::Mutex<Option<TcpStream>>>,
-    /// Whole-server reactor counters (zero-valued under the threaded
-    /// front end, so the status document keeps a stable shape). Every
-    /// shard bumps these alongside its own entry in `shard_stats`.
+    /// The bounded spillover queue (the paper's L_sq).
+    pub(crate) queue: SocketQueue<SpillJob>,
+    /// Whole-server reactor counters. Every shard bumps these alongside
+    /// its own entry in `shard_stats`.
     pub(crate) reactor: ReactorStats,
-    /// Per-shard reactor counters, indexed by shard id (empty under the
-    /// threaded front end).
+    /// Per-shard reactor counters, indexed by shard id.
     pub(crate) shard_stats: Vec<Arc<ReactorStats>>,
     /// Per-peer smoothed ping round-trip time (EWMA, milliseconds) —
     /// the measurement input for delay-aware co-op choice.
     peer_rtt: std::sync::Mutex<std::collections::BTreeMap<String, f64>>,
-    front_end: FrontEnd,
     /// Which poller backend the reactor chose ("epoll"/"poll"), set
     /// once at spawn.
     reactor_backend: OnceLock<&'static str>,
@@ -222,7 +174,6 @@ impl Shared {
     /// Assemble the shared state for a server bound at `addr`.
     pub(crate) fn build(engine: ServerEngine, net: &NetConfig, addr: SocketAddr) -> Arc<Shared> {
         let queue_len = engine.config().socket_queue_len;
-        let n_workers = engine.config().n_workers;
         let read = engine.read_path().clone();
         Arc::new(Shared {
             engine: EngineLock::new(engine),
@@ -233,19 +184,11 @@ impl Shared {
             inbound: net.inbound_faults.clone(),
             dropped: AtomicU64::new(0),
             queue: SocketQueue::new(queue_len),
-            active_conns: (0..n_workers)
-                .map(|_| std::sync::Mutex::new(None))
-                .collect(),
             reactor: ReactorStats::default(),
-            shard_stats: if net.front_end == FrontEnd::Reactor {
-                (0..net.reactor_shards.max(1))
-                    .map(|_| Arc::new(ReactorStats::default()))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            shard_stats: (0..net.reactor_shards.max(1))
+                .map(|_| Arc::new(ReactorStats::default()))
+                .collect(),
             peer_rtt: std::sync::Mutex::new(std::collections::BTreeMap::new()),
-            front_end: net.front_end,
             reactor_backend: OnceLock::new(),
             epoch: Instant::now(),
             addr,
@@ -412,7 +355,6 @@ impl Shared {
             }),
         ]);
         let mut reactor = self.reactor.to_json(
-            self.front_end == FrontEnd::Reactor,
             self.reactor_backend.get().copied().unwrap_or("none"),
             self.queue.len(),
             self.queue.capacity(),
@@ -450,8 +392,8 @@ impl Shared {
     }
 }
 
-/// Closes the work queue when dropped: even a panicking front-end
-/// thread releases the workers blocked in `pop`.
+/// Closes the spillover queue when dropped: even a panicking reactor
+/// shard releases the workers blocked in `pop`.
 struct QueueCloser(Arc<Shared>);
 
 impl Drop for QueueCloser {
@@ -464,9 +406,8 @@ impl Drop for QueueCloser {
 pub struct DcwsServer {
     shared: Arc<Shared>,
     shutdown: Arc<AtomicBool>,
-    /// Per-shard bridges under the reactor front end (empty when
-    /// threaded): how `stop()` wakes each event loop and workers post
-    /// completions back to the owning shard.
+    /// Per-shard bridges: how `stop()` wakes each event loop and workers
+    /// post completions back to the owning shard.
     bridges: Vec<Arc<SpillBridge>>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -504,20 +445,17 @@ fn bind_front_end(
                 // to the hand-off layout on a fresh socket.
             }
         }
-        let listener = TcpListener::bind(bind_addr)?;
-        let addr = listener.local_addr()?;
-        let mut listeners = vec![Some(listener)];
-        listeners.extend((1..shards).map(|_| None));
-        return Ok((listeners, addr));
     }
     let listener = TcpListener::bind(bind_addr)?;
     let addr = listener.local_addr()?;
-    Ok((vec![Some(listener)], addr))
+    let mut listeners = vec![Some(listener)];
+    listeners.extend((1..shards).map(|_| None));
+    Ok((listeners, addr))
 }
 
 impl DcwsServer {
     /// Bind `engine` to `bind_addr` (e.g. `"127.0.0.1:0"` for an ephemeral
-    /// port) and start the front-end, worker, and pinger threads. The
+    /// port) and start the reactor, worker, and pinger threads. The
     /// pinger wakes every `control_interval` to drive the engine's timers.
     pub fn spawn(
         engine: ServerEngine,
@@ -527,17 +465,14 @@ impl DcwsServer {
         DcwsServer::spawn_with(engine, bind_addr, NetConfig::new(control_interval))
     }
 
-    /// [`Self::spawn`] with explicit transport configuration: front end,
-    /// retry policy, and (for chaos testing) fault injectors.
+    /// [`Self::spawn`] with explicit transport configuration: reactor
+    /// sizing, retry policy, and (for chaos testing) fault injectors.
     pub fn spawn_with(
         engine: ServerEngine,
         bind_addr: &str,
         net: NetConfig,
     ) -> std::io::Result<DcwsServer> {
-        let n_shards = match net.front_end {
-            FrontEnd::Reactor => net.reactor_shards.max(1),
-            FrontEnd::Threaded => 1,
-        };
+        let n_shards = net.reactor_shards.max(1);
         let (mut listeners, addr) = bind_front_end(bind_addr, n_shards)?;
         let n_workers = engine.config().n_workers;
         let control_interval = net.control_interval;
@@ -545,149 +480,79 @@ impl DcwsServer {
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let mut threads = Vec::new();
-        let mut bridge_handles = Vec::new();
 
-        match net.front_end {
-            // Reactor front end: N shard threads multiplex the client
-            // connections; the worker pool only sees spillover jobs.
-            FrontEnd::Reactor => {
-                let reuseport = listeners.iter().all(|l| l.is_some());
-                let mut wakers = Vec::with_capacity(n_shards);
-                for _ in 0..n_shards {
-                    let (bridge, waker_rx) = spill_bridge()?;
-                    bridge_handles.push(bridge);
-                    wakers.push(waker_rx);
-                }
-                // One shared guard: the queue closes (releasing the
-                // workers) when the *last* shard's loop exits or panics.
-                let closer = Arc::new(QueueCloser(shared.clone()));
-                // Per-shard connection ceiling: an equal slice under
-                // SO_REUSEPORT; the hand-off distributor instead caps on
-                // the aggregate gauge, so the whole-server limit holds
-                // in both layouts.
-                let per_shard_cap = (net.max_reactor_conns / n_shards).max(1);
-                for (shard, waker_rx) in wakers.into_iter().enumerate() {
-                    let listener = listeners[shard].take();
-                    let distributes = !reuseport && shard == 0 && n_shards > 1;
-                    let mut reactor = Reactor::new(
-                        shared.clone(),
-                        shutdown.clone(),
-                        ShardConfig {
-                            shard,
-                            n_shards,
-                            max_conns: if distributes {
-                                net.max_reactor_conns.max(1)
-                            } else {
-                                per_shard_cap
-                            },
-                            keepalive_idle: net.reactor_keepalive_idle,
-                            force_poll_backend: net.reactor_force_poll,
-                            copy_writes: net.reactor_copy_writes,
-                        },
-                        listener,
-                        bridge_handles[shard].clone(),
-                        if distributes {
-                            bridge_handles.clone()
-                        } else {
-                            Vec::new()
-                        },
-                        waker_rx,
-                    )?;
-                    let _ = shared.reactor_backend.set(reactor.backend_name());
-                    let closer = closer.clone();
-                    threads.push(
-                        std::thread::Builder::new()
-                            .name(format!("dcws-reactor-{shard}"))
-                            .spawn(move || {
-                                let _closer = closer;
-                                reactor.run();
-                            })
-                            .expect("spawn reactor"),
-                    );
-                }
-            }
-            // Threaded front end (§5.1 literal): accept + enqueue whole
-            // connections, 503 on overflow (§5.2).
-            FrontEnd::Threaded => {
-                let listener = listeners[0].take().expect("threaded front end listener");
-                let shared = shared.clone();
-                let shutdown = shutdown.clone();
-                threads.push(
-                    std::thread::Builder::new()
-                        .name("dcws-frontend".into())
-                        .spawn(move || {
-                            let _closer = QueueCloser(shared.clone());
-                            for stream in listener.incoming() {
-                                if shutdown.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                let Ok(stream) = stream else { continue };
-                                if let Some(inj) = &shared.inbound {
-                                    let d = inj.inbound();
-                                    if d.delay_ms > 0 {
-                                        // Stalling the single acceptor models a
-                                        // congested path into this host.
-                                        std::thread::sleep(Duration::from_millis(d.delay_ms));
-                                    }
-                                    if d.refuse {
-                                        // Close without a response: the peer sees
-                                        // a connection reset, not a graceful 503.
-                                        drop(stream);
-                                        continue;
-                                    }
-                                }
-                                if let Err(WorkItem::Conn(mut s)) =
-                                    shared.queue.try_push(WorkItem::Conn(stream))
-                                {
-                                    shared.dropped.fetch_add(1, Ordering::Relaxed);
-                                    let resp = Response::service_unavailable(RETRY_AFTER_SECS);
-                                    let _ = s.write_all(&resp.to_bytes());
-                                }
-                            }
-                        })
-                        .expect("spawn front-end"),
-                );
-            }
+        // Reactor shards: N event loops multiplex the client connections;
+        // the worker pool only sees spillover jobs.
+        let reuseport = listeners.iter().all(|l| l.is_some());
+        let mut bridges = Vec::with_capacity(n_shards);
+        let mut wakers = Vec::with_capacity(n_shards);
+        for _ in 0..n_shards {
+            let (bridge, waker_rx) = spill_bridge()?;
+            bridges.push(bridge);
+            wakers.push(waker_rx);
+        }
+        // One shared guard: the queue closes (releasing the workers) when
+        // the *last* shard's loop exits or panics.
+        let closer = Arc::new(QueueCloser(shared.clone()));
+        // Per-shard connection ceiling: an equal slice under SO_REUSEPORT;
+        // the hand-off distributor instead caps on the aggregate gauge, so
+        // the whole-server limit holds in both layouts.
+        let per_shard_cap = (net.max_reactor_conns / n_shards).max(1);
+        for (shard, waker_rx) in wakers.into_iter().enumerate() {
+            let listener = listeners[shard].take();
+            let distributes = !reuseport && shard == 0 && n_shards > 1;
+            let mut reactor = Reactor::new(
+                shared.clone(),
+                shutdown.clone(),
+                ShardConfig {
+                    shard,
+                    n_shards,
+                    max_conns: if distributes {
+                        net.max_reactor_conns.max(1)
+                    } else {
+                        per_shard_cap
+                    },
+                    keepalive_idle: net.reactor_keepalive_idle,
+                    force_poll_backend: net.reactor_force_poll,
+                },
+                listener,
+                bridges[shard].clone(),
+                if distributes {
+                    bridges.clone()
+                } else {
+                    Vec::new()
+                },
+                waker_rx,
+            )?;
+            let _ = shared.reactor_backend.set(reactor.backend_name());
+            let closer = closer.clone();
+            threads.push(
+                std::thread::Builder::new()
+                    .name(format!("dcws-reactor-{shard}"))
+                    .spawn(move || {
+                        let _closer = closer;
+                        reactor.run();
+                    })
+                    .expect("spawn reactor"),
+            );
         }
 
-        // Worker threads: whole connections under the threaded front
-        // end, spillover jobs under the reactor.
+        // Worker threads run spillover jobs, even while shutting down:
+        // the reactor is draining and needs the in-flight responses to
+        // finish cleanly.
         for i in 0..n_workers {
             let shared = shared.clone();
-            let shutdown = shutdown.clone();
-            let bridges = bridge_handles.clone();
+            let bridges = bridges.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("dcws-worker-{i}"))
                     .spawn(move || {
                         while let Some(q) = shared.queue.pop() {
                             shared.metrics.queue_wait.record(q.enqueued_at.elapsed());
-                            match q.item {
-                                WorkItem::Conn(mut stream) => {
-                                    if shutdown.load(Ordering::Relaxed) {
-                                        break;
-                                    }
-                                    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-                                    let _ = stream.set_nodelay(true);
-                                    // Publish the in-flight connection so stop()
-                                    // can shut it down under our feet.
-                                    *shared.active_conns[i].lock().unwrap() =
-                                        stream.try_clone().ok();
-                                    let _ = serve_connection(&shared, &mut stream, &shutdown);
-                                    *shared.active_conns[i].lock().unwrap() = None;
-                                }
-                                // Spill jobs run even while shutting down:
-                                // the reactor is draining and needs the
-                                // in-flight responses to finish cleanly.
-                                WorkItem::Spill(job) => {
-                                    // Route the completion to the shard
-                                    // that owns the connection — tokens
-                                    // are per-shard.
-                                    let bridge =
-                                        bridges.get(job.shard).expect("spill job without a bridge");
-                                    serve_spill(&shared, bridge, job);
-                                }
-                            }
+                            // Route the completion to the shard that owns
+                            // the connection — tokens are per-shard.
+                            let bridge = &bridges[q.item.shard];
+                            serve_spill(&shared, bridge, q.item);
                         }
                     })
                     .expect("spawn worker"),
@@ -716,7 +581,7 @@ impl DcwsServer {
         Ok(DcwsServer {
             shared,
             shutdown,
-            bridges: bridge_handles,
+            bridges,
             threads,
         })
     }
@@ -745,9 +610,7 @@ impl DcwsServer {
         &self.shared.read
     }
 
-    /// Connections dropped with 503 so far (front-end queue overflow
-    /// under the threaded model; spillover-queue overflow under the
-    /// reactor).
+    /// Requests answered 503 so far because the spillover queue was full.
     pub fn dropped_connections(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
     }
@@ -757,8 +620,7 @@ impl DcwsServer {
         &self.shared.metrics
     }
 
-    /// The reactor's counters (all zero when running the threaded
-    /// front end).
+    /// The reactor's whole-server counters.
     pub fn reactor_stats(&self) -> &ReactorStats {
         &self.shared.reactor
     }
@@ -777,37 +639,17 @@ impl DcwsServer {
         self.shared.status_json()
     }
 
-    /// Stop all threads and wait for them.
-    pub fn shutdown(mut self) {
-        self.stop();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
+    /// Stop all threads and wait for them (what dropping the handle
+    /// does; this names it at call sites).
+    pub fn shutdown(self) {}
 
     fn stop(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        if self.bridges.is_empty() {
-            // Threaded: unblock the acceptor (its queue-closer guard
-            // then releases the workers).
-            let _ = TcpStream::connect(self.shared.addr);
-            self.shared.queue.close();
-        } else {
-            // Reactor: each shard's waker pipe interrupts its event
-            // loop, which drains at request boundaries; the queue closes
-            // when the last shard exits (releasing the workers).
-            for bridge in &self.bridges {
-                bridge.wake();
-            }
-        }
-        // Workers may be blocked reading a kept-alive connection — a
-        // peer's pooled transport connection can park here idle for up
-        // to READ_TIMEOUT, or keep the worker busy indefinitely if the
-        // peer keeps sending. Shut the sockets down so reads return now.
-        for slot in &self.shared.active_conns {
-            if let Some(s) = slot.lock().unwrap().as_ref() {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
+        // Each shard's waker pipe interrupts its event loop, which drains
+        // at request boundaries; the queue closes when the last shard
+        // exits (releasing the workers).
+        for bridge in &self.bridges {
+            bridge.wake();
         }
     }
 }
@@ -821,71 +663,13 @@ impl Drop for DcwsServer {
     }
 }
 
-/// Handle one connection (threaded front end): serve requests until the
-/// peer closes, asks to close, or speaks HTTP/1.0 (persistent
-/// connections are the HTTP/1.1 default; the benchmark clients open one
-/// connection per transfer, as the paper's CPS metric assumes, but real
-/// browsers keep alive).
-fn serve_connection(
-    shared: &Arc<Shared>,
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> std::io::Result<()> {
-    // One scratch buffer per connection: read_request_buf reuses its
-    // allocation across requests and keeps pipelined over-read bytes as
-    // the next request's prefix.
-    let mut mb = MsgBuf::new();
-    loop {
-        let req = match read_request_buf(stream, &mut mb) {
-            Ok(Some(req)) => req,
-            Ok(None) => return Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Unparseable request: answer 400 instead of slamming the
-                // connection shut, then close (framing is unrecoverable).
-                let resp = Response::new(StatusCode::BadRequest);
-                let _ = write_response(stream, &resp, Method::Get);
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        let started = Instant::now();
-        // A peer's pooled connection can carry requests indefinitely, so a
-        // shutting-down server must break keep-alive at a request boundary
-        // or its workers would never join; the `Connection: close` tells
-        // the peer's pool not to re-park this socket.
-        let closing = shutdown.load(Ordering::Relaxed);
-        let keep_alive = !closing
-            && req.version == dcws_http::Version::Http11
-            && !req
-                .headers
-                .get("Connection")
-                .is_some_and(|c| c.eq_ignore_ascii_case("close"));
-        let method = req.method;
-        let (mut resp, streamed) = serve_one(shared, req)?;
-        if closing {
-            resp = resp.with_header("Connection", "close");
-        }
-        match streamed {
-            // Large object: head first, then chunks straight from the
-            // store — the worker never holds the whole entity.
-            Some(mut body) => write_streamed_response(stream, &resp, method, &mut body)?,
-            None => write_response(stream, &resp, method)?,
-        }
-        shared.metrics.service_time.record(started.elapsed());
-        if !keep_alive {
-            return Ok(());
-        }
-    }
-}
-
 /// Run one spillover job on a worker thread and post the completion
 /// back to the reactor. The worker computes the response — engine lock,
 /// lazy pull, and all — but never touches the client socket; the
 /// reactor owns all client I/O.
 fn serve_spill(shared: &Arc<Shared>, bridge: &SpillBridge, job: SpillJob) {
     let method = job.req.method;
-    let (resp, stream) = serve_one(shared, job.req)
-        .unwrap_or_else(|_| (Response::new(StatusCode::InternalServerError), None));
+    let (resp, stream) = serve_one(shared, job.req);
     bridge.push(Completion {
         token: job.token,
         method,
@@ -898,92 +682,100 @@ fn serve_spill(shared: &Arc<Shared>, bridge: &SpillBridge, job: SpillJob) {
 
 /// Produce the response for one request, performing any lazy pull. A
 /// large-object serve returns the finished head plus the chunked entity
-/// producer; the front end owns writing it (the threaded workers write
-/// chunks directly, the reactor parks it as resumable write-state).
-pub(crate) fn serve_one(
-    shared: &Arc<Shared>,
-    req: Request,
-) -> std::io::Result<(Response, Option<StreamBody>)> {
+/// producer, which the reactor parks as resumable write-state.
+fn serve_one(shared: &Arc<Shared>, req: Request) -> (Response, Option<StreamBody>) {
     // Reserved introspection namespace: answered by the transport, never
     // entering the engine's document path.
     if let Ok(url) = req.url() {
         if is_reserved_path(url.path()) {
-            return Ok((shared.reserved_response(url.path()), None));
+            return (shared.reserved_response(url.path()), None);
         }
     }
     // Common case first: a primed home document, prebuilt 301, or warm
     // co-op copy is answered on the concurrent read path — no engine
     // lock taken at all.
     if let Some(resp) = shared.read.try_serve(&req, shared.now_ms()) {
-        return Ok((resp, None));
+        return (resp, None);
     }
-    // Two attempts: a co-op miss performs (or joins) the lazy pull, then
-    // retries the request against the now-warm cache.
-    for attempt in 0..2 {
-        let now = shared.now_ms();
-        let outcome = shared.engine.lock().handle_request(&req, now);
-        let (home, path) = match outcome {
-            Outcome::Response(r) => return Ok((r, None)),
-            Outcome::Stream { resp, body } => return Ok((resp, Some(body))),
-            Outcome::FetchNeeded { home, path } => (home, path),
-        };
-        if attempt > 0 {
-            // The pull landed but the copy is already gone (evicted under
-            // pressure, or a concurrent request consumed a staged
-            // oversize body): give up rather than pull in a loop.
-            return Ok((Response::new(StatusCode::InternalServerError), None));
-        }
-        // Lazy physical migration (§4.2), coalesced: concurrent misses
-        // for the same document ride one pull (the flight key carries
-        // the home so identically-named docs of different homes don't
-        // collide).
-        let flight_key = format!("{home} {path}");
-        let flight = shared.pulls.run(&flight_key, || {
-            // The pull request needs no engine state beyond identity and
-            // the published load-report snapshot, so it is built lock-free
-            // and the engine lock is taken exactly once, *after* the
-            // network round-trip, to install (or reject) the result.
-            let pull = shared.read.make_pull_request(&path);
-            match shared.transport.call(&home, &pull, OpClass::Pull) {
-                Ok(pull_resp) => {
-                    let now = shared.now_ms();
-                    let mut eng = shared.engine.lock();
-                    if eng.store_pulled(&home, &path, &pull_resp, now) {
-                        PullResult::Stored
-                    } else {
-                        // Home declined (301 to the current host, 404, …):
-                        // remember redirects, relay the answer as-is.
-                        eng.pull_rejected(&home, &path, &pull_resp, now);
-                        PullResult::Rejected(pull_resp)
-                    }
-                }
-                // Home unreachable (after retries) and we hold no fresh
-                // copy: mark any retained one stale, count the failure.
-                Err(_) => {
-                    let now = shared.now_ms();
-                    shared.engine.lock().note_pull_failure(&home, &path, now);
-                    PullResult::Unreachable
-                }
-            }
-        });
-        if !flight.led() {
-            shared.engine.lock().coop_cache().record_coalesced_wait();
-        }
-        match flight.into_inner() {
-            PullResult::Stored => continue,
-            PullResult::Rejected(resp) => return Ok((resp, None)),
-            PullResult::Unreachable => {
-                // Degradation ladder (docs/RESILIENCE.md): a retained copy
-                // — even a stale or negative one — beats an error page.
+    let now = shared.now_ms();
+    let (home, path) = match reply(shared.engine.lock().handle_request(&req, now)) {
+        Ok(served) => return served,
+        Err(pull) => pull,
+    };
+    // Lazy physical migration (§4.2), coalesced: concurrent misses for
+    // the same document ride one pull (the flight key carries the home so
+    // identically-named docs of different homes don't collide).
+    let flight_key = format!("{home} {path}");
+    let flight = shared.pulls.run(&flight_key, || {
+        // The pull request needs no engine state beyond identity and the
+        // published load-report snapshot, so it is built lock-free and the
+        // engine lock is taken exactly once, *after* the network
+        // round-trip, to install (or reject) the result.
+        let pull = shared.read.make_pull_request(&path);
+        match shared.transport.call(&home, &pull, OpClass::Pull) {
+            Ok(pull_resp) => {
                 let now = shared.now_ms();
-                if let Some(resp) = shared.engine.lock().serve_stale(&home, &path, now) {
-                    return Ok((resp, None));
+                let mut eng = shared.engine.lock();
+                if eng.store_pulled(&home, &path, &pull_resp, now) {
+                    PullResult::Stored(pull_resp)
+                } else {
+                    // Home declined (301 to the current host, 404, …):
+                    // remember redirects, relay the answer as-is.
+                    eng.pull_rejected(&home, &path, &pull_resp, now);
+                    PullResult::Rejected(pull_resp)
                 }
-                return Ok((Response::service_unavailable(RETRY_AFTER_SECS), None));
+            }
+            // Home unreachable (after retries) and we hold no fresh copy:
+            // mark any retained one stale, count the failure.
+            Err(_) => {
+                let now = shared.now_ms();
+                shared.engine.lock().note_pull_failure(&home, &path, now);
+                PullResult::Unreachable
             }
         }
+    });
+    if !flight.led() {
+        shared.engine.lock().coop_cache().record_coalesced_wait();
     }
-    unreachable!("serve_one returns within two attempts")
+    let pulled = match flight.into_inner() {
+        PullResult::Stored(pulled) => pulled,
+        PullResult::Rejected(resp) => return (resp, None),
+        PullResult::Unreachable => {
+            // Degradation ladder (docs/RESILIENCE.md): a retained copy —
+            // even a stale or negative one — beats an error page.
+            let now = shared.now_ms();
+            if let Some(resp) = shared.engine.lock().serve_stale(&home, &path, now) {
+                return (resp, None);
+            }
+            return (Response::service_unavailable(RETRY_AFTER_SECS), None);
+        }
+    };
+    // Retry against the now-warm cache. An oversize body the cache
+    // declined is staged for one serve only; when another waiter of the
+    // same pull consumed it (or the copy was evicted), stage the pulled
+    // body again for this request, under the same lock so nothing else
+    // can take it first.
+    let now = shared.now_ms();
+    let mut eng = shared.engine.lock();
+    let mut outcome = eng.handle_request(&req, now);
+    if matches!(outcome, Outcome::FetchNeeded { .. }) {
+        eng.stage_pulled(&home, &path, &pulled, now);
+        outcome = eng.handle_request(&req, now);
+    }
+    drop(eng);
+    // Still no copy (a recalled entry asks for yet another pull): give
+    // up rather than pull in a loop.
+    reply(outcome).unwrap_or_else(|_| (Response::new(StatusCode::InternalServerError), None))
+}
+
+/// The reply an engine outcome carries, or the `(home, path)` to pull
+/// when it has none yet.
+fn reply(outcome: Outcome) -> Result<(Response, Option<StreamBody>), (ServerId, String)> {
+    match outcome {
+        Outcome::Response(r) => Ok((r, None)),
+        Outcome::Stream { resp, body } => Ok((resp, Some(body))),
+        Outcome::FetchNeeded { home, path } => Err((home, path)),
+    }
 }
 
 /// Perform the network side of a tick: pings, validations, eager pushes.

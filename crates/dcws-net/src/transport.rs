@@ -18,9 +18,11 @@
 //!    the operation, so chaos runs are reproducible. The decision is
 //!    drawn once per attempt and reapplied verbatim to a stale-reuse
 //!    redial, so pooling never perturbs the fault sequence;
-//! 3. **Integrity**: a response carrying `X-DCWS-Body-FNV` has its body
-//!    re-hashed; a mismatch (truncated or garbled transfer) is a
-//!    *retryable* I/O error, never a corrupt document install;
+//! 3. **Integrity**: every pooled class (pull, push, validate) runs one
+//!    chunked exchange that folds a rolling hash over the body as it
+//!    arrives; a response carrying `X-DCWS-Body-FNV` whose hash
+//!    mismatches (truncated or garbled transfer) is a *retryable* I/O
+//!    error, never a corrupt document install;
 //! 4. **Retries** ([`RetryPolicy`]): per-attempt timeout, capped
 //!    exponential backoff with seeded jitter, overall deadline. Pings
 //!    use a separate single-attempt policy so a dead peer feeds the
@@ -31,7 +33,7 @@
 //! the lock's critical path.
 
 use crate::client::fetch_from_timeout;
-use crate::conn::{drain_body_chunks, read_response_buf, read_response_head_buf, write_request};
+use crate::conn::{drain_body_chunks, read_response_head_buf, write_request};
 use crate::faults::{Decision, FaultInjector};
 use crate::lock::assert_engine_unlocked;
 use crate::pool::{ConnPool, Evict, PoolConfig, PooledConn};
@@ -237,15 +239,7 @@ impl Transport {
         }
         let conn = self.pool.checkout(peer, timeout)?;
         let was_reused = conn.reused;
-        let streamed = class == OpClass::Pull;
-        let run = |conn: PooledConn| {
-            if streamed {
-                self.exchange_streamed(peer, conn, req, &decision)
-            } else {
-                self.exchange(peer, conn, req, &decision)
-            }
-        };
-        match run(conn) {
+        match self.exchange(peer, conn, req, &decision) {
             Ok(resp) => Ok(resp),
             Err(ExchangeErr {
                 err,
@@ -259,16 +253,29 @@ impl Transport {
                     self.counters.stale_retries.fetch_add(1, Ordering::Relaxed);
                     self.pool.note_stale_retry(peer);
                     let fresh = self.pool.dial(peer, timeout)?;
-                    return run(fresh).map_err(|e| e.err);
+                    return self
+                        .exchange(peer, fresh, req, &decision)
+                        .map_err(|e| e.err);
                 }
                 Err(err)
             }
         }
     }
 
-    /// One request/response over `conn`, returning the stream to the
-    /// pool on success (unless the peer asked to close) and evicting it
-    /// on any failure.
+    /// One request/response over a pooled `conn`, for every pooled class
+    /// (pulls, pushes, validations). The response head is parsed first,
+    /// then the entity is drained from the wire chunk by chunk with the
+    /// rolling FNV folded in as each piece arrives. A transfer that dies
+    /// mid-body aborts at the point of death instead of after buffering,
+    /// and a digest mismatch is detected before a [`Response`] carrying
+    /// the bytes is ever constructed — a corrupt copy cannot escape this
+    /// function. On success the stream returns to the pool (unless the
+    /// peer asked to close); on any failure it is evicted.
+    ///
+    /// Injected faults apply at byte granularity: a mid-response drop
+    /// kills the transfer at the body midpoint, a garble flips the byte
+    /// at `body_len / 2` — the same byte [`Transport::finish`] flips on
+    /// the ping path.
     fn exchange(
         &self,
         peer: &ServerId,
@@ -276,100 +283,20 @@ impl Transport {
         req: &Request,
         decision: &Decision,
     ) -> Result<Response, ExchangeErr> {
-        // The per-attempt read timeout was set at checkout/dial time.
-        let sent = write_request(&mut conn.stream, req)
-            .and_then(|()| read_response_buf(&mut conn.stream, req.method, &mut conn.buf));
-        let resp = match sent {
-            Ok(resp) => resp,
+        let head = write_request(&mut conn.stream, req)
+            .and_then(|()| read_response_head_buf(&mut conn.stream, req.method, &mut conn.buf));
+        let head = match head {
+            Ok(h) => h,
             Err(err) => {
                 // No response byte buffered + a connection-death kind is
                 // the stale-reuse signature; anything else (timeout,
-                // mid-response EOF with partial bytes) goes to the
-                // normal retry path.
+                // malformed head) goes to the normal retry path.
                 let stale_candidate = conn.buf.buffered() == 0 && is_conn_death(&err);
                 self.pool.evict(peer, conn, Evict::Error);
                 return Err(ExchangeErr {
                     err,
                     stale_candidate,
                 });
-            }
-        };
-        if decision.drop_mid_response {
-            // The real exchange completed; discarding the response (and
-            // the stream) is byte-for-byte what a peer dying mid-write
-            // looks like to the caller.
-            self.pool.evict(peer, conn, Evict::Error);
-            return Err(ExchangeErr {
-                err: io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "injected fault: connection closed mid-response",
-                ),
-                stale_candidate: false,
-            });
-        }
-        let keep = resp.version == Version::Http11
-            && !resp
-                .headers
-                .get("Connection")
-                .is_some_and(|c| c.eq_ignore_ascii_case("close"));
-        match self.finish(resp, decision) {
-            Ok(resp) => {
-                if keep {
-                    self.pool.checkin(peer, conn);
-                } else {
-                    self.pool.evict(peer, conn, Evict::PeerClose);
-                }
-                Ok(resp)
-            }
-            Err(err) => {
-                // Integrity failure: the stream's bytes can't be
-                // trusted; never park it.
-                self.pool.evict(peer, conn, Evict::Error);
-                Err(ExchangeErr {
-                    err,
-                    stale_candidate: false,
-                })
-            }
-        }
-    }
-
-    /// The chunked variant of [`Transport::exchange`], used for pulls:
-    /// the response head is parsed first, then the entity is drained
-    /// from the wire chunk by chunk with the rolling FNV folded in as
-    /// each piece arrives. A transfer that dies mid-body aborts at the
-    /// point of death instead of after buffering, and a digest mismatch
-    /// is detected before a [`Response`] carrying the bytes is ever
-    /// constructed — a corrupt copy cannot escape this function.
-    ///
-    /// Injected faults apply at byte granularity so the observable
-    /// schedule (error kinds, retry charges, counters) is identical to
-    /// the buffered path: a mid-response drop kills the transfer at the
-    /// body midpoint, a garble flips the byte at `body_len / 2` — the
-    /// same byte [`Transport::finish`] flips.
-    fn exchange_streamed(
-        &self,
-        peer: &ServerId,
-        mut conn: PooledConn,
-        req: &Request,
-        decision: &Decision,
-    ) -> Result<Response, ExchangeErr> {
-        let fail = |err: io::Error, buffered: usize| {
-            // Connection-level death before any response byte is the
-            // stale-reuse signature, exactly as in the buffered path.
-            let stale_candidate = buffered == 0 && is_conn_death(&err);
-            ExchangeErr {
-                err,
-                stale_candidate,
-            }
-        };
-        let head = write_request(&mut conn.stream, req)
-            .and_then(|()| read_response_head_buf(&mut conn.stream, req.method, &mut conn.buf));
-        let head = match head {
-            Ok(h) => h,
-            Err(err) => {
-                let e = fail(err, conn.buf.buffered());
-                self.pool.evict(peer, conn, Evict::Error);
-                return Err(e);
             }
         };
         let body_len = head.body_len;
@@ -403,8 +330,8 @@ impl Transport {
         }
         if decision.drop_mid_response {
             // Empty-body edge: no chunk ever hit the midpoint cut, but
-            // the drop must still fire (the buffered path discards the
-            // completed exchange the same way).
+            // the drop must still fire: discarding the completed exchange
+            // is what a peer dying mid-write looks like to the caller.
             self.pool.evict(peer, conn, Evict::Error);
             return Err(ExchangeErr {
                 err: io::Error::new(
@@ -444,8 +371,9 @@ impl Transport {
         Ok(resp)
     }
 
-    /// Post-exchange response handling shared by the pooled and ping
-    /// paths: apply an injected garble, verify body integrity.
+    /// Post-exchange response handling for the ping path (a fresh dial
+    /// outside the pool): apply an injected garble, verify body
+    /// integrity.
     fn finish(&self, mut resp: Response, decision: &Decision) -> io::Result<Response> {
         if decision.garble && !resp.body.is_empty() {
             let mut bytes = resp.body.to_vec();
@@ -629,20 +557,21 @@ mod tests {
 
         // Now a permanently garbling injector: every attempt corrupts,
         // the checksum rejects each one, and the call gives up with
-        // InvalidData instead of returning corrupt bytes.
-        let resp2 = Response::ok(body.clone(), "text/plain")
-            .with_header(CHECKSUM_HEADER, &body_checksum(&body));
-        let (server2, _) = counting_server(resp2);
-        let always_garble = Arc::new(FaultInjector::new(FaultPlan::new(1).with_garble(1.0)));
-        let t2 = Transport::new(fast_policy(), Some(always_garble));
-        let err = t2
-            .call(&server2, &Request::get("/d"), OpClass::Pull)
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(t2.snapshot().corrupt, 3);
-        // Untrustworthy streams are never parked.
-        assert_eq!(t2.pool().idle_total(), 0);
-        assert_eq!(t2.pool().snapshot().evicted_error, 3);
+        // InvalidData instead of returning corrupt bytes — for every
+        // pooled class, since all of them share one exchange.
+        for class in [OpClass::Pull, OpClass::Push, OpClass::Validate] {
+            let resp2 = Response::ok(body.clone(), "text/plain")
+                .with_header(CHECKSUM_HEADER, &body_checksum(&body));
+            let (server2, _) = counting_server(resp2);
+            let always_garble = Arc::new(FaultInjector::new(FaultPlan::new(1).with_garble(1.0)));
+            let t2 = Transport::new(fast_policy(), Some(always_garble));
+            let err = t2.call(&server2, &Request::get("/d"), class).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{class:?}");
+            assert_eq!(t2.snapshot().corrupt, 3, "{class:?}");
+            // Untrustworthy streams are never parked.
+            assert_eq!(t2.pool().idle_total(), 0, "{class:?}");
+            assert_eq!(t2.pool().snapshot().evicted_error, 3, "{class:?}");
+        }
     }
 
     #[test]
@@ -689,10 +618,11 @@ mod tests {
 
     #[test]
     fn streamed_drop_matches_buffered_fault_schedule() {
-        // The same seeded plan against the same server content: a
-        // chunked pull and a buffered push must observe identical error
-        // kinds and identical retry accounting — chunking must not
-        // perturb the injected schedule (the chaos-replay contract).
+        // The same seeded plan against the same server content: a pull
+        // and a push must observe identical error kinds and identical
+        // retry accounting — the op class must not perturb the injected
+        // schedule (the chaos-replay contract). Both classes run the one
+        // chunked exchange, so this holds by construction.
         let run = |class: OpClass| {
             let body = vec![0x5au8; 150_000];
             let resp = Response::ok(body.clone(), "application/octet-stream")

@@ -8,7 +8,7 @@
 
 use dcws_core::{MemStore, ServerConfig, ServerEngine};
 use dcws_graph::{DocKind, ServerId};
-use dcws_net::{DcwsServer, FrontEnd, NetConfig};
+use dcws_net::{DcwsServer, NetConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -36,7 +36,6 @@ fn spawn_reactor_with(
     prep: impl FnOnce(&mut ServerEngine),
 ) -> DcwsServer {
     let mut net = NetConfig::new(Duration::from_millis(50));
-    net.front_end = FrontEnd::Reactor;
     tune(&mut net);
     let mut engine = engine_with_doc(cfg);
     prep(&mut engine);
@@ -145,8 +144,8 @@ fn pipelined_requests_in_one_batch() {
 }
 
 /// A thousand idle keep-alive connections must register (far beyond the
-/// 12-worker ceiling of the threaded model) and must not delay
-/// shutdown: idle connections are closed at the request boundary
+/// 12-worker ceiling of a thread-per-connection front end) and must not
+/// delay shutdown: idle connections are closed at the request boundary
 /// immediately, not waited out.
 #[test]
 fn shutdown_with_1k_idle_registered_conns() {
@@ -372,7 +371,7 @@ fn writev_partial_write_resumption_is_zero_copy() {
     assert_eq!(
         stats.body_copies.load(Ordering::Relaxed),
         0,
-        "no serve may memcpy its body with copy_writes off"
+        "no serve may memcpy its body"
     );
     server.shutdown();
 }

@@ -128,11 +128,11 @@ fn migration_redirect_and_pull_over_tcp() {
     coop.shutdown();
 }
 
-#[test]
-fn concurrent_misses_coalesce_to_one_pull_over_tcp() {
-    // Eight clients hit the co-op for the same migrated document at once;
-    // the transport's singleflight must turn those misses into exactly one
-    // pull against the home server.
+/// Eight clients hit the co-op at once for the same migrated document,
+/// which the co-op (built from `coop_cfg`) holds no copy of yet.
+/// Returns every response, the home's `pulls_served` and the co-op's
+/// `served_coop`.
+fn eight_concurrent_first_requests(coop_cfg: ServerConfig) -> (Vec<dcws_http::Response>, u64, u64) {
     let l1 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let p_home = l1.local_addr().unwrap().port();
     let l2 = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -157,7 +157,7 @@ fn concurrent_misses_coalesce_to_one_pull_over_tcp() {
     home_engine.add_peer(coop_id.clone());
 
     let coop = DcwsServer::spawn(
-        engine(&coop_id, fast_config()),
+        engine(&coop_id, coop_cfg),
         &coop_id.to_string(),
         Duration::from_millis(25),
     )
@@ -190,61 +190,48 @@ fn concurrent_misses_coalesce_to_one_pull_over_tcp() {
             })
         })
         .collect();
-    for h in handles {
-        let resp = h.join().unwrap();
+    let responses = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let pulls = home.engine().lock().stats().pulls_served;
+    let served = coop.engine().lock().stats().served_coop;
+    home.shutdown();
+    coop.shutdown();
+    (responses, pulls, served)
+}
+
+#[test]
+fn concurrent_misses_coalesce_to_one_pull_over_tcp() {
+    // The transport's singleflight must turn eight concurrent misses into
+    // exactly one pull against the home server.
+    let (responses, pulls, served) = eight_concurrent_first_requests(fast_config());
+    for resp in &responses {
         assert_eq!(resp.status, StatusCode::Ok);
         assert!(String::from_utf8_lossy(&resp.body).contains("payload-D"));
     }
     assert_eq!(
-        home.engine().lock().stats().pulls_served,
-        1,
+        pulls, 1,
         "concurrent misses must coalesce into a single pull"
     );
-    assert_eq!(coop.engine().lock().stats().served_coop, 8);
-
-    home.shutdown();
-    coop.shutdown();
+    assert_eq!(served, 8);
 }
 
 #[test]
-fn graceful_503_when_socket_queue_full() {
-    // Threaded-front-end semantics by design: an idle connection pins a
-    // worker, so two idle holds exhaust worker + queue. Under the
-    // reactor front end idle connections are deliberately free; its
-    // 503 rung (spillover-queue full) is covered in reactor_tests.rs.
-    let mut cfg = fast_config();
-    cfg.n_workers = 1;
-    cfg.socket_queue_len = 1;
-    let id = ServerId::new("placeholder:0");
-    let mut e = engine(&id, cfg);
-    e.publish("/x.html", b"x".to_vec(), DocKind::Html, true);
-    let mut net = dcws_net::NetConfig::new(Duration::from_millis(25));
-    net.front_end = dcws_net::FrontEnd::Threaded;
-    let server = DcwsServer::spawn_with(e, "127.0.0.1:0", net).unwrap();
-    let addr = server.addr();
-
-    // Occupy the single worker and the single queue slot with idle
-    // connections that never send a request.
-    let _hold1 = std::net::TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-    let _hold2 = std::net::TcpStream::connect(addr).unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-
-    // Subsequent connections must be dropped gracefully with 503.
-    let got_503 = wait_for(Duration::from_secs(3), || {
-        use std::io::Read;
-        let Ok(mut s) = std::net::TcpStream::connect(addr) else {
-            return false;
-        };
-        s.set_read_timeout(Some(Duration::from_millis(500)))
-            .unwrap();
-        let mut buf = Vec::new();
-        let _ = s.read_to_end(&mut buf);
-        String::from_utf8_lossy(&buf).starts_with("HTTP/1.1 503")
-    });
-    assert!(got_503, "expected a graceful 503 drop");
-    assert!(server.dropped_connections() >= 1);
-    server.shutdown();
+fn coalesced_waiters_of_an_oversize_pull_all_get_the_body() {
+    // A co-op cache too small to admit the document: the pulled body is
+    // staged for one serve, yet every waiter of the coalesced pull must
+    // get it, not a 500.
+    let mut coop_cfg = fast_config();
+    coop_cfg.cache_budget_bytes = 64;
+    let (responses, pulls, served) = eight_concurrent_first_requests(coop_cfg);
+    for resp in &responses {
+        assert_eq!(
+            resp.status,
+            StatusCode::Ok,
+            "a coalesced waiter lost the body"
+        );
+        assert!(String::from_utf8_lossy(&resp.body).contains("payload-D"));
+    }
+    assert_eq!(pulls, 1, "the waiters must still share one pull");
+    assert_eq!(served, 8);
 }
 
 #[test]

@@ -53,34 +53,37 @@ step env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # nonzero unless every arm clears 10^5 sessions inside the wall-clock
 # bound and the shared-bandwidth re-run reproduces its digest exactly,
 # so an event-core scale or determinism regression fails the gate
-# (docs/SIMULATION.md); corepress --quick sweeps reactor shards ×
-# {vectored, copy} write paths and exits nonzero unless every vectored
-# arm served with zero per-serve body copies (counter assertion) and —
-# on hosts with >= 4 cores — the 4-shard arm beats 1.5× the 1-shard
-# CPS, so a broken zero-copy path or an inert shard toggle fails here.
+# (docs/SIMULATION.md); corepress --quick sweeps reactor shards and
+# exits nonzero unless every arm served with zero per-serve body copies
+# (counter assertion) and — on hosts with >= 4 cores — the 4-shard arm
+# beats 1.5× the 1-shard CPS, so a broken zero-copy path or an inert
+# shard toggle fails here.
 if [[ $quick -eq 0 ]]; then
-    step env DCWS_BENCH_QUICK=1 cargo run --release -q -p dcws-bench --bin fig6 -- --status-dump
-    step env DCWS_BENCH_QUICK=1 cargo run --release -q -p dcws-bench --bin cachepress -- --status-dump
-    step cargo run --release -q -p dcws-bench --bin lockpress -- --quick
-    step cargo run --release -q -p dcws-bench --bin connpress -- --quick
-    step cargo run --release -q -p dcws-bench --bin c10kpress -- --quick
-    step cargo run --release -q -p dcws-bench --bin bigpress -- --quick
-    step cargo run --release -q -p dcws-bench --bin scalepress -- --quick
-    step cargo run --release -q -p dcws-bench --bin corepress -- --quick
-    test -s bench_results/fig6.csv
-    test -s bench_results/cachepress.csv
-    test -s bench_results/lockpress.csv
-    test -s bench_results/BENCH_lockpress.json
-    test -s bench_results/connpress.csv
-    test -s bench_results/BENCH_connpress.json
-    test -s bench_results/c10kpress.csv
-    test -s bench_results/BENCH_c10kpress.json
-    test -s bench_results/bigpress.csv
-    test -s bench_results/BENCH_bigpress.json
-    test -s bench_results/scalepress.csv
-    test -s bench_results/BENCH_scalepress.json
-    test -s bench_results/corepress.csv
-    test -s bench_results/BENCH_corepress.json
+    # Quick runs write under target/ so they never overwrite the
+    # committed full-size artifacts in bench_results/.
+    out=target/bench-quick
+    step env DCWS_BENCH_OUT=$out DCWS_BENCH_QUICK=1 cargo run --release -q -p dcws-bench --bin fig6 -- --status-dump
+    step env DCWS_BENCH_OUT=$out DCWS_BENCH_QUICK=1 cargo run --release -q -p dcws-bench --bin cachepress -- --status-dump
+    step env DCWS_BENCH_OUT=$out cargo run --release -q -p dcws-bench --bin lockpress -- --quick
+    step env DCWS_BENCH_OUT=$out cargo run --release -q -p dcws-bench --bin connpress -- --quick
+    step env DCWS_BENCH_OUT=$out cargo run --release -q -p dcws-bench --bin c10kpress -- --quick
+    step env DCWS_BENCH_OUT=$out cargo run --release -q -p dcws-bench --bin bigpress -- --quick
+    step env DCWS_BENCH_OUT=$out cargo run --release -q -p dcws-bench --bin scalepress -- --quick
+    step env DCWS_BENCH_OUT=$out cargo run --release -q -p dcws-bench --bin corepress -- --quick
+    test -s $out/fig6.csv
+    test -s $out/cachepress.csv
+    test -s $out/lockpress.csv
+    test -s $out/BENCH_lockpress.json
+    test -s $out/connpress.csv
+    test -s $out/BENCH_connpress.json
+    test -s $out/c10kpress.csv
+    test -s $out/BENCH_c10kpress.json
+    test -s $out/bigpress.csv
+    test -s $out/BENCH_bigpress.json
+    test -s $out/scalepress.csv
+    test -s $out/BENCH_scalepress.json
+    test -s $out/corepress.csv
+    test -s $out/BENCH_corepress.json
 fi
 
 echo

@@ -14,7 +14,7 @@
 //! | [`html`] | HTML substrate: tokenizer, parse tree, link extraction, hyperlink rewriting |
 //! | [`graph`] | Local Document Graph, Global Load Table, load metrics, Algorithm 1 |
 //! | [`core`] | The sans-IO DCWS engine: migration, regeneration, redirects, consistency timers |
-//! | [`net`] | Real threaded TCP transport (front-end / workers / pinger) |
+//! | [`net`] | Real TCP transport: sharded epoll reactor front end, spillover workers, pinger, pooled inter-server exchange |
 //! | [`sim`] | Discrete-event cluster simulator replacing the paper's 64-node testbed |
 //! | [`workloads`] | Calibrated synthetic recreations of the four paper datasets |
 //! | [`baselines`] | Round-robin DNS, central TCP router, and single-server comparators |
