@@ -1,7 +1,7 @@
 //! Ablations: DCWS vs the related-work baselines (§2), and the design
-//! choices DESIGN.md calls out — lazy vs eager migration, CPS vs BPS as
-//! the balancing metric, Algorithm 1 vs naive hottest-first selection,
-//! and hot-spot replication.
+//! choices DESIGN.md calls out — CPS vs BPS as the balancing metric,
+//! Algorithm 1 vs naive hottest-first selection, and hot-spot
+//! replication.
 
 use dcws_baselines::Strategy;
 use dcws_bench::{fmt_thousands, scaled, write_csv};
@@ -71,21 +71,6 @@ fn main() {
     }
     println!("(rr-dns and router replicate every document to every server — the");
     println!(" shared-filesystem assumption DCWS exists to avoid; DCWS moves data only)");
-
-    println!("\n== lazy vs eager physical migration (LOD, 8 servers) ==");
-    for eager in [false, true] {
-        let mut cfg = base("lod", 8, scaled(300, 48) as usize);
-        cfg.server_config.eager_migration = eager;
-        report(
-            if eager {
-                "migration:eager"
-            } else {
-                "migration:lazy"
-            },
-            &run_sim(cfg),
-            &mut csv,
-        );
-    }
 
     println!("\n== balancing metric (Sequoia, 4 servers: large files favor BPS, §5.3) ==");
     for metric in [BalanceMetric::Cps, BalanceMetric::Bps] {

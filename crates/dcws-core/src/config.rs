@@ -1,6 +1,6 @@
 //! Server configuration — Table 1 of the paper plus the knobs the paper
 //! leaves implicit (overload detection, piggyback fan-out) and the
-//! extensions we implement for ablations (eager migration, hot-spot
+//! extensions we implement for ablations (naive selection, hot-spot
 //! replication).
 
 use dcws_graph::BalanceMetric;
@@ -69,9 +69,6 @@ pub struct ServerConfig {
     /// Maximum GLT entries piggybacked per message (own entry always
     /// included).
     pub piggyback_max: usize,
-    /// Ablation: physically push documents at migration time instead of
-    /// the paper's lazy pull-on-first-request.
-    pub eager_migration: bool,
     /// Ablation: replace Algorithm 1 with naive hottest-first selection
     /// (ignores steps 4–5's link-structure cost minimization).
     pub naive_selection: bool,
@@ -117,7 +114,6 @@ impl ServerConfig {
             min_cps_to_migrate: 1.0,
             ping_failure_limit: 3,
             piggyback_max: 8,
-            eager_migration: false,
             naive_selection: false,
             hot_replication: None,
             event_log_capacity: 512,
@@ -149,7 +145,6 @@ mod tests {
         assert_eq!(c.remigration_interval_ms, 300_000);
         assert_eq!(c.coop_migration_interval_ms, 60_000);
         assert_eq!(c.balance_metric, BalanceMetric::Cps);
-        assert!(!c.eager_migration);
         assert!(c.hot_replication.is_none());
         assert_eq!(c.cache_budget_bytes, 64 * 1024 * 1024);
         assert_eq!(c.stream_threshold_bytes, 256 * 1024);

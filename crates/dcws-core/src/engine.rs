@@ -20,7 +20,7 @@ use dcws_graph::{
     select_for_migration, DocKind, GlobalLoadTable, LoadInfo, LocalDocGraph, Location, RateWindow,
     ServerId,
 };
-use dcws_http::{http_date, Body, Headers, LoadReport, Request};
+use dcws_http::{http_date, Headers, LoadReport, Request};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -72,8 +72,6 @@ pub struct TickOutput {
     pub pings: Vec<(ServerId, Request)>,
     /// Co-op validation re-requests to send: `(home, request)` (§4.5).
     pub validations: Vec<(ServerId, Request)>,
-    /// Eager-migration pushes to send (ablation): `(co-op, request)`.
-    pub pushes: Vec<(ServerId, Request)>,
 }
 
 impl TickOutput {
@@ -83,7 +81,6 @@ impl TickOutput {
             && self.revoked.is_empty()
             && self.pings.is_empty()
             && self.validations.is_empty()
-            && self.pushes.is_empty()
     }
 }
 
@@ -632,10 +629,6 @@ impl ServerEngine {
                             from_load: coop_load,
                             to_load: target_load,
                         });
-                        if self.cfg.eager_migration {
-                            out.pushes
-                                .push((target.clone(), self.make_push_request(&name, now_ms)));
-                        }
                         out.migrated.push((name.clone(), target));
                         out.revoked.push((name.clone(), coop.clone()));
                         acted = true;
@@ -723,10 +716,6 @@ impl ServerEngine {
             self_load: me.value(metric),
             coop_load: target_load,
         });
-        if self.cfg.eager_migration {
-            out.pushes
-                .push((target.clone(), self.make_push_request(&doc, now_ms)));
-        }
         out.migrated.push((doc.clone(), target.clone()));
 
         // Hot-replication extension (§6 future work): a document drawing a
@@ -748,10 +737,6 @@ impl ServerEngine {
                         doc: doc.clone(),
                         coop: extra.clone(),
                     });
-                    if self.cfg.eager_migration {
-                        out.pushes
-                            .push((extra.clone(), self.make_push_request(&doc, now_ms)));
-                    }
                     out.migrated.push((doc.clone(), extra.clone()));
                     replicas.push(extra);
                 }
@@ -777,30 +762,6 @@ impl ServerEngine {
             },
             _ => None,
         }
-    }
-
-    /// Build the eager-migration push carrying a document to a co-op.
-    fn make_push_request(&mut self, doc: &str, now_ms: u64) -> Request {
-        let (bytes, version, content_type) = self.pull_content(doc);
-        let mut req = Request {
-            method: dcws_http::Method::Post,
-            target: doc.to_string(),
-            version: dcws_http::Version::Http11,
-            headers: Headers::new(),
-            body: Body::empty(),
-        }
-        .with_header("X-DCWS-Push", "1")
-        .with_header("X-DCWS-Home", self.id.as_str())
-        .with_header("X-DCWS-Version", &version.to_string())
-        .with_header("Last-Modified", &http_date(self.doc_modified_ms(doc)))
-        .with_header("Content-Type", &content_type)
-        .with_header(
-            dcws_http::CHECKSUM_HEADER,
-            &dcws_http::body_checksum(&bytes),
-        )
-        .with_body(bytes);
-        self.attach_reports(&mut req.headers, now_ms);
-        req
     }
 
     /// Build the lazy pull request a co-op sends to fetch a migrated

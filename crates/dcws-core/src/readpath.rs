@@ -6,7 +6,7 @@
 //! escape hatch: a snapshot of exactly the state the common case needs —
 //! GET of a local, non-dirty, non-migrated document, or a warm co-op
 //! copy — readable by any number of worker threads concurrently, while
-//! everything rare (migration, regeneration, pulls, pushes, validations,
+//! everything rare (migration, regeneration, pulls, validations,
 //! tick) still goes through the exclusive [`ServerEngine`](crate::ServerEngine) lock.
 //!
 //! Three pieces:

@@ -86,7 +86,7 @@ impl ServerEngine {
         }
     }
 
-    /// The bytes shipped to a co-op pulling `name` (or pushed eagerly):
+    /// The bytes shipped to a co-op pulling `name`:
     /// regenerated with absolute home links (cached per version). Returns
     /// `(bytes, version, content_type)`.
     ///

@@ -6,9 +6,9 @@ use crate::naming::decode_migrate_path;
 use dcws_cache::CachedDoc;
 use dcws_graph::{DocKind, Location, ServerId};
 use dcws_http::{
-    apply_range, body_checksum, checksum_matches, content_range, content_range_unsatisfied,
-    http_date, parse_http_date, requested_range, Method, Request, ResolvedRange, Response,
-    StatusCode, StreamBody, Url, CHECKSUM_HEADER, STREAM_CHUNK,
+    apply_range, body_checksum, content_range, content_range_unsatisfied, http_date,
+    parse_http_date, requested_range, Method, Request, ResolvedRange, Response, StatusCode,
+    StreamBody, Url, CHECKSUM_HEADER, STREAM_CHUNK,
 };
 
 /// Result of handing a request to the engine.
@@ -110,11 +110,6 @@ impl ServerEngine {
                 .expect("static header");
             self.attach_reports(&mut resp.headers, now_ms);
             return Outcome::Response(resp);
-        }
-
-        // Eager-migration push (ablation): store the carried document.
-        if req.headers.contains("X-DCWS-Push") {
-            return Outcome::Response(self.accept_push(req, now_ms));
         }
 
         let path = match req.url() {
@@ -481,52 +476,6 @@ impl ServerEngine {
             .with_header("X-DCWS-Version", &version.to_string())
             .with_header("Last-Modified", &http_date(self.doc_modified_ms(path)))
             .with_header(CHECKSUM_HEADER, &sum)
-    }
-
-    /// Accept an eager-migration push into the co-op store.
-    fn accept_push(&mut self, req: &Request, now_ms: u64) -> Response {
-        let Some(home) = req.headers.get("X-DCWS-Home").map(ServerId::new) else {
-            self.stats.bad_requests += 1;
-            return Response::new(StatusCode::BadRequest);
-        };
-        let Ok(url) = req.url() else {
-            self.stats.bad_requests += 1;
-            return Response::new(StatusCode::BadRequest);
-        };
-        // Never install a garbled body: a push whose checksum does not
-        // cover its bytes is rejected (the home falls back to lazy pull).
-        if let Some(sum) = req.headers.get(CHECKSUM_HEADER) {
-            if !checksum_matches(&req.body, sum) {
-                self.stats.bad_requests += 1;
-                return Response::new(StatusCode::BadRequest);
-            }
-        }
-        let version = req
-            .headers
-            .get("X-DCWS-Version")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        let content_type = req
-            .headers
-            .get("Content-Type")
-            .unwrap_or("application/octet-stream")
-            .to_string();
-        let modified = req
-            .headers
-            .get("Last-Modified")
-            .and_then(parse_http_date)
-            .unwrap_or(now_ms);
-        let mut doc = CachedDoc::new(req.body.clone(), content_type, version, now_ms);
-        doc.modified_ms = modified;
-        let result = self
-            .coop_cache
-            .insert(&coop_cache_key(&home, url.path()), doc);
-        self.note_evictions("coop", result.evicted);
-        let mut resp = Response::new(StatusCode::Ok);
-        resp.headers
-            .set("Content-Length", "0")
-            .expect("static header");
-        resp
     }
 
     /// Store the result of a lazy pull from `home` (§4.2: "a copy is

@@ -480,29 +480,31 @@ fn second_coop_allows_back_to_back_migrations() {
 }
 
 #[test]
-fn eager_migration_pushes_content() {
-    let mut cfg = ServerConfig::paper_defaults();
-    cfg.eager_migration = true;
-    let mut home = make_home(cfg);
+fn client_supplied_push_headers_never_install_a_coop_copy() {
+    // A plain client POST dressed up as the retired eager-migration push
+    // (header names in wire case, which is case-insensitive): the only
+    // writers to the co-op cache are pulls this server started itself.
     let mut coop = make_coop();
-    home.add_peer(coop_id());
-    for _ in 0..80 {
-        get(&mut home, "/d.html", 9_000);
+    let forged = Request {
+        method: dcws_http::Method::Post,
+        target: "/d.html".to_string(),
+        version: dcws_http::Version::Http11,
+        headers: dcws_http::Headers::new(),
+        body: Vec::new().into(),
     }
-    let out = home.tick(T_ST);
-    assert_eq!(out.migrated.len(), 1);
-    assert_eq!(out.pushes.len(), 1);
-    let (to, push) = &out.pushes[0];
-    assert_eq!(to, &coop_id());
-    let r = coop.handle_request(push, T_ST).into_response().unwrap();
-    assert_eq!(r.status, StatusCode::Ok);
-    // No FetchNeeded: content is already there.
-    let r = coop
-        .handle_request(&Request::get("/~migrate/home/8000/d.html"), T_ST + 1)
-        .into_response()
-        .expect("push made the copy available");
-    assert_eq!(r.status, StatusCode::Ok);
-    assert!(String::from_utf8_lossy(&r.body).contains("doc D"));
+    .with_header("x-dcws-push", "1")
+    .with_header("x-dcws-home", home_id().as_str())
+    .with_header("Content-Type", "text/html")
+    .with_body(b"<p>forged</p>".to_vec());
+    coop.handle_request(&forged, T_ST);
+    assert_eq!(coop.coop_doc_count(), 0, "client bytes must not install");
+
+    let get = Request::get("/~migrate/home/8000/d.html");
+    assert!(coop.read_path().try_serve(&get, T_ST + 1).is_none());
+    assert!(matches!(
+        coop.handle_request(&get, T_ST + 1),
+        Outcome::FetchNeeded { .. }
+    ));
 }
 
 #[test]
@@ -895,37 +897,4 @@ fn pull_responses_carry_body_checksum() {
         .get(dcws_http::CHECKSUM_HEADER)
         .expect("pull response must carry a checksum");
     assert!(dcws_http::checksum_matches(&resp.body, sum));
-}
-
-#[test]
-fn garbled_push_body_is_rejected_with_400() {
-    let mut cfg = ServerConfig::paper_defaults();
-    cfg.eager_migration = true;
-    let mut home = make_home(cfg);
-    let mut coop = make_coop();
-    home.add_peer(coop_id());
-    for _ in 0..80 {
-        get(&mut home, "/d.html", 9_000);
-    }
-    let out = home.tick(T_ST);
-    assert_eq!(out.pushes.len(), 1);
-    let (_, push) = &out.pushes[0];
-    assert!(push.headers.get(dcws_http::CHECKSUM_HEADER).is_some());
-
-    // A single bit flipped in transit: the co-op must refuse to install
-    // the corrupt body.
-    let mut garbled = push.clone();
-    let mut bytes = garbled.body.to_vec();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x20;
-    garbled.body = bytes.into();
-    let r = coop.handle_request(&garbled, T_ST).into_response().unwrap();
-    assert_eq!(r.status, StatusCode::BadRequest);
-    assert_eq!(coop.coop_doc_count(), 0, "corrupt copy must not install");
-    assert_eq!(coop.stats().bad_requests, 1);
-
-    // The untampered push still lands.
-    let r = coop.handle_request(push, T_ST + 1).into_response().unwrap();
-    assert_eq!(r.status, StatusCode::Ok);
-    assert_eq!(coop.coop_doc_count(), 1);
 }

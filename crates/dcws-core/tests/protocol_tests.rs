@@ -346,33 +346,32 @@ fn validation_times_are_jittered() {
     // lockstep forever: the re-arm applies per-path jitter.
     let mut coop = engine(coop_a());
     let mut home = engine(home_id());
-    for d in ["/d.html", "/e.html"] {
+    home.add_peer(coop_a());
+    // Two real migrations to the one co-op, T_coop apart, then two lazy
+    // pulls stored at the same instant.
+    let docs = ["/d.html", "/e.html"];
+    for (i, d) in docs.iter().enumerate() {
         home.publish(d, format!("<p>{d}</p>").into_bytes(), DocKind::Html, false);
-        // Fabricate migrated state directly via pull path: the home will
-        // answer a pull for a home-resident doc with a 301, so instead
-        // store via an eager-style push.
-        let push = Request {
-            method: dcws_http::Method::Post,
-            target: d.to_string(),
-            version: dcws_http::Version::Http11,
-            headers: dcws_http::Headers::new(),
-            body: Vec::new().into(),
+        let at = 10_000 + i as u64 * 60_000;
+        for t in 0..80u64 {
+            home.handle_request(&Request::get(*d), at - 1000 + t);
         }
-        .with_header("X-DCWS-Push", "1")
-        .with_header("X-DCWS-Home", home_id().as_str())
-        .with_header("X-DCWS-Version", "1")
-        .with_header("Content-Type", "text/html")
-        .with_body(format!("<p>{d}</p>").into_bytes());
-        let r = coop
-            .handle_request(&push, 20_000)
+        assert_eq!(home.tick(at).migrated, vec![(d.to_string(), coop_a())]);
+    }
+    let stored = 80_000;
+    for d in docs {
+        let pull = coop.make_pull_request(d, stored);
+        let resp = home
+            .handle_request(&pull, stored)
             .into_response()
-            .expect("push ok");
-        assert_eq!(r.status, StatusCode::Ok);
+            .expect("pull answered");
+        assert_eq!(resp.status, StatusCode::Ok);
+        assert!(coop.store_pulled(&home_id(), d, &resp, stored));
     }
     assert_eq!(coop.coop_doc_count(), 2);
 
     // First wave: both due together (identical fetch times).
-    let t1 = 20_000 + 120_001;
+    let t1 = stored + 120_001;
     let out = coop.tick(t1);
     assert_eq!(out.validations.len(), 2);
 

@@ -371,25 +371,6 @@ impl FaultInjector {
         d
     }
 
-    /// The fault for the next inbound (accepted) connection. Inbound
-    /// identity is unknown until the request is read, so only `"*"`
-    /// blackouts and the probabilistic faults apply (peer label `"*"`).
-    pub fn inbound(&self) -> Decision {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let at_ms = self.elapsed_ms();
-        let mut d = self.plan.decide(seq, "*", at_ms);
-        if let Some(covered) = self.dynamic_covers("*", at_ms) {
-            if covered {
-                d = Decision {
-                    refuse: true,
-                    ..Decision::default()
-                };
-            }
-        }
-        self.count(&d);
-        d
-    }
-
     fn count(&self, d: &Decision) {
         self.decisions.fetch_add(1, Ordering::Relaxed);
         if d.refuse {
@@ -490,12 +471,12 @@ mod tests {
     }
 
     #[test]
-    fn inbound_respects_wildcard_blackout() {
+    fn outbound_respects_dynamic_wildcard_blackout() {
         let inj = FaultInjector::new(FaultPlan::new(0));
-        assert!(inj.inbound().is_clean());
+        assert!(inj.outbound("p:80", "/x").is_clean());
         inj.blackout_now("*", Duration::from_secs(3600));
-        assert!(inj.inbound().refuse);
+        assert!(inj.outbound("p:80", "/x").refuse);
         inj.heal("*");
-        assert!(inj.inbound().is_clean());
+        assert!(inj.outbound("p:80", "/x").is_clean());
     }
 }

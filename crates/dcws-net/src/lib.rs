@@ -50,7 +50,7 @@
 //! the reserved `GET /dcws/status` endpoint
 //! ([`DcwsServer::status_json`]).
 //!
-//! Every inter-server socket call — pulls, pushes, pings, validations —
+//! Every inter-server socket call — pulls, pings, validations —
 //! goes through the resilient [`Transport`]: persistent keep-alive
 //! connection reuse through a bounded per-peer [`ConnPool`] (pings
 //! exempt, so §4.5 dead-peer detection stays honest), per-attempt

@@ -1,6 +1,6 @@
 //! Persistent inter-server connection pool with keep-alive reuse.
 //!
-//! DCWS's cooperation traffic — lazy pulls, eager pushes, T_val
+//! DCWS's cooperation traffic — lazy pulls, T_val
 //! revalidations (§4.3–§4.5) — is many small HTTP exchanges between a
 //! stable set of peers. Paying a TCP handshake plus slow-start for each
 //! one makes the paper's "migration is cheap" premise needlessly

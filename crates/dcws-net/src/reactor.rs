@@ -1224,19 +1224,6 @@ impl Reactor {
             };
             match listener.accept() {
                 Ok((stream, _)) => {
-                    // Inbound fault injection: a delay stalls the accept
-                    // path (modelling a congested link into this host), a
-                    // refusal closes the socket before any read.
-                    if let Some(inj) = &self.shared.inbound {
-                        let d = inj.inbound();
-                        if d.delay_ms > 0 {
-                            std::thread::sleep(Duration::from_millis(d.delay_ms));
-                        }
-                        if d.refuse {
-                            drop(stream);
-                            continue;
-                        }
-                    }
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }

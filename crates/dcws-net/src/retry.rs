@@ -34,7 +34,7 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Default policy for pulls, pushes, and validations: 3 attempts,
+    /// Default policy for pulls and validations: 3 attempts,
     /// 5 s per attempt, 50 ms base backoff capped at 2 s, 12 s total.
     pub fn default_inter_server() -> RetryPolicy {
         RetryPolicy {

@@ -44,15 +44,11 @@ enum PullResult {
 pub struct NetConfig {
     /// How often the pinger thread wakes to drive the engine's timers.
     pub control_interval: Duration,
-    /// Retry policy for pulls, pushes, and validations (pings always
+    /// Retry policy for pulls and validations (pings always
     /// use a single attempt so dead-peer detection stays prompt).
     pub retry: RetryPolicy,
     /// Fault injector applied to every *outbound* inter-server call.
     pub faults: Option<Arc<FaultInjector>>,
-    /// Fault injector consulted per *inbound* accepted connection
-    /// (refusals close the socket before any read; delays stall the
-    /// accepting shard, modelling a slow network path into this host).
-    pub inbound_faults: Option<Arc<FaultInjector>>,
     /// Idle keep-alive connections retained per peer by the transport's
     /// [`ConnPool`](crate::ConnPool); `0` disables pooling (every
     /// inter-server call dials fresh).
@@ -91,7 +87,6 @@ impl NetConfig {
             control_interval,
             retry: RetryPolicy::default_inter_server(),
             faults: None,
-            inbound_faults: None,
             pool_max_per_peer: pool.max_per_peer,
             pool_idle_ttl: pool.idle_ttl,
             max_reactor_conns: 16_384,
@@ -147,11 +142,9 @@ pub(crate) struct Shared {
     /// Coalesces concurrent lazy pulls for the same document: the first
     /// worker to miss leads the pull, the rest wait on its flight.
     pulls: SingleFlight<PullResult>,
-    /// Retrying, fault-aware inter-server I/O (pulls, pushes, pings,
+    /// Retrying, fault-aware inter-server I/O (pulls, pings and
     /// validations all go through here — never a raw socket call).
     transport: Transport,
-    /// Inbound-side fault injector, consulted by the accepting shard.
-    pub(crate) inbound: Option<Arc<FaultInjector>>,
     pub(crate) dropped: AtomicU64,
     /// The bounded spillover queue (the paper's L_sq).
     pub(crate) queue: SocketQueue<SpillJob>,
@@ -181,7 +174,6 @@ impl Shared {
             metrics: TransportMetrics::default(),
             pulls: SingleFlight::new(),
             transport: Transport::with_pool(net.retry, net.faults.clone(), net.pool_config()),
-            inbound: net.inbound_faults.clone(),
             dropped: AtomicU64::new(0),
             queue: SocketQueue::new(queue_len),
             reactor: ReactorStats::default(),
@@ -326,26 +318,15 @@ impl Shared {
                 ])
             }),
             ("faults", {
-                // Outbound + inbound injections, zeros when no injector
-                // is installed so the section shape is stable.
-                let mut f = self
+                // Outbound injections, zeros when no injector is
+                // installed so the section shape is stable.
+                let f = self
                     .transport
                     .faults()
                     .map(|i| i.snapshot())
                     .unwrap_or_default();
-                if let Some(inb) = &self.inbound {
-                    let s = inb.snapshot();
-                    f.decisions += s.decisions;
-                    f.refusals += s.refusals;
-                    f.drops += s.drops;
-                    f.garbles += s.garbles;
-                    f.delays += s.delays;
-                }
                 Json::obj(vec![
-                    (
-                        "enabled",
-                        Json::from(self.transport.faults().is_some() || self.inbound.is_some()),
-                    ),
+                    ("enabled", Json::from(self.transport.faults().is_some())),
                     ("injected", Json::from(f.injected())),
                     ("refusals", Json::from(f.refusals)),
                     ("drops", Json::from(f.drops)),
@@ -778,7 +759,7 @@ fn reply(outcome: Outcome) -> Result<(Response, Option<StreamBody>), (ServerId, 
     }
 }
 
-/// Perform the network side of a tick: pings, validations, eager pushes.
+/// Perform the network side of a tick: pings and validations.
 fn run_tick_actions(shared: &Arc<Shared>, out: dcws_core::TickOutput, now: u64) {
     for (peer, req) in out.pings {
         // Single attempt, short timeout: a dead peer must fail fast and
@@ -815,10 +796,5 @@ fn run_tick_actions(shared: &Arc<Shared>, out: dcws_core::TickOutput, now: u64) 
                 shared.engine.lock().validation_failed(&home, &path, now);
             }
         }
-    }
-    for (coop, req) in out.pushes {
-        // A failed eager push costs nothing: the co-op simply lazy-pulls
-        // later if its load warrants it.
-        let _ = shared.transport.call(&coop, &req, OpClass::Push);
     }
 }

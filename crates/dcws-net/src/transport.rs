@@ -1,12 +1,12 @@
 //! The resilient inter-server I/O layer.
 //!
-//! Every inter-server socket operation — lazy pulls, eager pushes,
-//! pings, T_val validations — goes through [`Transport::call`], which
+//! Every inter-server socket operation — lazy pulls, pings, T_val
+//! validations — goes through [`Transport::call`], which
 //! layers four things over a raw socket exchange:
 //!
 //! 1. **Connection reuse** ([`ConnPool`]): calls check a persistent
 //!    keep-alive connection out of a per-peer pool instead of dialing,
-//!    so one TCP handshake is amortized over many pulls, pushes, and
+//!    so one TCP handshake is amortized over many pulls and
 //!    validations. Pings are exempt — they always dial fresh so §4.5
 //!    dead-peer detection measures a real connection attempt. A request
 //!    that dies on a *reused* stream before any response byte (the peer
@@ -18,7 +18,7 @@
 //!    the operation, so chaos runs are reproducible. The decision is
 //!    drawn once per attempt and reapplied verbatim to a stale-reuse
 //!    redial, so pooling never perturbs the fault sequence;
-//! 3. **Integrity**: every pooled class (pull, push, validate) runs one
+//! 3. **Integrity**: every pooled class (pull, validate) runs one
 //!    chunked exchange that folds a rolling hash over the body as it
 //!    arrives; a response carrying `X-DCWS-Body-FNV` whose hash
 //!    mismatches (truncated or garbled transfer) is a *retryable* I/O
@@ -53,8 +53,6 @@ pub enum OpClass {
     Pull,
     /// T_val co-op revalidation (§4.5).
     Validate,
-    /// Eager-migration document push (ablation).
-    Push,
     /// Artificial pinger transfer (§4.5).
     Ping,
 }
@@ -65,7 +63,6 @@ impl OpClass {
         match self {
             OpClass::Pull => "pull",
             OpClass::Validate => "validate",
-            OpClass::Push => "push",
             OpClass::Ping => "ping",
         }
     }
@@ -126,7 +123,7 @@ struct ExchangeErr {
 }
 
 impl Transport {
-    /// Build a transport with `policy` for pulls/pushes/validations, an
+    /// Build a transport with `policy` for pulls/validations, an
     /// optional outbound fault injector, and the default pool sizing.
     pub fn new(policy: RetryPolicy, faults: Option<Arc<FaultInjector>>) -> Transport {
         Transport::with_pool(policy, faults, PoolConfig::default())
@@ -263,7 +260,7 @@ impl Transport {
     }
 
     /// One request/response over a pooled `conn`, for every pooled class
-    /// (pulls, pushes, validations). The response head is parsed first,
+    /// (pulls, validations). The response head is parsed first,
     /// then the entity is drained from the wire chunk by chunk with the
     /// rolling FNV folded in as each piece arrives. A transfer that dies
     /// mid-body aborts at the point of death instead of after buffering,
@@ -559,7 +556,7 @@ mod tests {
         // the checksum rejects each one, and the call gives up with
         // InvalidData instead of returning corrupt bytes — for every
         // pooled class, since all of them share one exchange.
-        for class in [OpClass::Pull, OpClass::Push, OpClass::Validate] {
+        for class in [OpClass::Pull, OpClass::Validate] {
             let resp2 = Response::ok(body.clone(), "text/plain")
                 .with_header(CHECKSUM_HEADER, &body_checksum(&body));
             let (server2, _) = counting_server(resp2);
@@ -619,7 +616,7 @@ mod tests {
     #[test]
     fn streamed_drop_matches_buffered_fault_schedule() {
         // The same seeded plan against the same server content: a pull
-        // and a push must observe identical error kinds and identical
+        // and a validation must observe identical error kinds and identical
         // retry accounting — the op class must not perturb the injected
         // schedule (the chaos-replay contract). Both classes run the one
         // chunked exchange, so this holds by construction.
@@ -634,7 +631,7 @@ mod tests {
             (err.kind(), t.snapshot(), inj.snapshot())
         };
         let (kind_s, io_s, faults_s) = run(OpClass::Pull);
-        let (kind_b, io_b, faults_b) = run(OpClass::Push);
+        let (kind_b, io_b, faults_b) = run(OpClass::Validate);
         assert_eq!(kind_s, io::ErrorKind::UnexpectedEof);
         assert_eq!(kind_s, kind_b);
         assert_eq!(
@@ -649,7 +646,9 @@ mod tests {
     fn response_without_checksum_is_accepted() {
         let (server, _) = counting_server(Response::ok(b"plain".to_vec(), "text/plain"));
         let t = Transport::new(fast_policy(), None);
-        let resp = t.call(&server, &Request::get("/x"), OpClass::Push).unwrap();
+        let resp = t
+            .call(&server, &Request::get("/x"), OpClass::Validate)
+            .unwrap();
         assert_eq!(resp.body, b"plain");
     }
 

@@ -545,3 +545,38 @@ fn malformed_request_gets_400() {
     );
     server.shutdown();
 }
+
+#[test]
+fn client_push_headers_never_write_into_the_coop_cache() {
+    // A home address nothing listens on, so the co-op's own lazy pull
+    // for the ~migrate URL fails fast instead of reaching a real peer.
+    let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let home_port = l.local_addr().unwrap().port();
+    drop(l);
+    let coop = spawn(engine(
+        &ServerId::new("placeholder:0"),
+        ServerConfig::paper_defaults(),
+    ));
+    let posted = b"<p>client-posted bytes</p>".to_vec();
+    let forged = Request {
+        method: dcws_http::Method::Post,
+        target: "/d.html".to_string(),
+        version: dcws_http::Version::Http11,
+        headers: dcws_http::Headers::new(),
+        body: Vec::new().into(),
+    }
+    .with_header("x-dcws-push", "1")
+    .with_header("x-dcws-home", &format!("127.0.0.1:{home_port}"))
+    .with_header("Content-Type", "text/html")
+    .with_body(posted.clone());
+    let _ = fetch_from(&coop.server_id(), &forged);
+    assert_eq!(coop.engine().lock().coop_doc_count(), 0);
+
+    let get = Request::get(format!("/~migrate/127.0.0.1/{home_port}/d.html"));
+    for _ in 0..2 {
+        let resp = fetch_from(&coop.server_id(), &get).unwrap();
+        assert_ne!(resp.status, StatusCode::Ok);
+        assert_ne!(resp.body, posted.as_slice(), "served client-posted bytes");
+    }
+    coop.shutdown();
+}

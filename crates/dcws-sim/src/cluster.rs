@@ -827,21 +827,6 @@ impl SimCluster {
                     );
                 }
             }
-            for (coop, req) in out.pushes {
-                if let Some(&idx) = self.id_to_idx.get(&coop) {
-                    self.queue.push(
-                        self.now + latency,
-                        Event::RequestArrive {
-                            server: idx,
-                            req,
-                            origin: Origin::Server {
-                                id: server,
-                                purpose: Purpose::Push,
-                            },
-                        },
-                    );
-                }
-            }
             self.queue.push(
                 self.now + self.cfg.tick_interval_ms * 1_000,
                 Event::ServerTick { server },
@@ -1026,7 +1011,6 @@ impl SimCluster {
                     self.servers[server].engine.ping_result(&peer, false, None);
                 }
             },
-            Purpose::Push => {}
         }
     }
 

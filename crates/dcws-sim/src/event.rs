@@ -38,8 +38,6 @@ pub enum Purpose {
         /// The peer being pinged.
         peer: dcws_graph::ServerId,
     },
-    /// Eager-migration push (ablation); response is ignored.
-    Push,
 }
 
 /// Who is waiting for a response.

@@ -25,6 +25,11 @@ if [[ $quick -eq 0 ]]; then
 fi
 step cargo test -q --workspace
 
+# The benchmark package builds the workspace crates by path under its
+# own lockfile: --locked fails here if a change breaks an API it uses
+# or would rewrite perfbench/Cargo.lock.
+step cargo test -q --locked --offline --manifest-path perfbench/Cargo.toml
+
 # Chaos smoke: a real 3-server TCP cluster under the fixed-seed fault
 # schedule (seeds 7/21/1999 inside the test) must converge with no
 # document lost. Named explicitly so a chaos regression is visible as
